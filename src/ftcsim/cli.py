@@ -8,7 +8,8 @@ Verbs:
   emit-default  write the stock three-state actuator-fault study
 
 Exit codes: 0 success (for verify: certified), 1 not certified / matching
-failed, 2 scenario parse error, 3 numerical abort, 4 I/O error.
+failed, 2 scenario parse error, 3 numerical abort, 4 I/O error. A batch
+run exits with the highest code of its scenarios.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+_CSV_CHUNK_ROWS = 1024
+
 
 def trace_csv_lines(tr: SimTrace):
-    """TraceCSV rows: 17-significant-digit decimal, comma separated."""
+    """TraceCSV lines without newlines: the header, then one line per row
+    in 17-significant-digit decimal, comma separated."""
     n = tr.x_d.shape[1]
     l = tr.y_d.shape[1]
 
@@ -54,20 +58,17 @@ def trace_csv_lines(tr: SimTrace):
 
     e_norm = np.linalg.norm(tr.e, axis=1)
     xt_norm = np.linalg.norm(tr.x_tilde, axis=1)
-    fmt = lambda v: format(v, ".17g")
-    for k in range(tr.t.shape[0]):
-        row = ([fmt(tr.t[k])]
-               + [fmt(v) for v in tr.x_d[k]]
-               + [fmt(v) for v in tr.x_hat[k]]
-               + [fmt(v) for v in tr.x_f[k]]
-               + [fmt(tr.u[k]), fmt(tr.u_f[k])]
-               + [fmt(v) for v in tr.M[k]]
-               + [fmt(tr.N[k]), fmt(tr.d_hat[k])]
-               + [fmt(e_norm[k]), fmt(xt_norm[k])]
-               + [fmt(v) for v in tr.y_d[k]]
-               + [fmt(v) for v in tr.y_hat[k]]
-               + [fmt(v) for v in tr.y_f[k]])
-        yield ",".join(row)
+    columns = [tr.t, tr.x_d, tr.x_hat, tr.x_f, tr.u, tr.u_f, tr.M, tr.N,
+               tr.d_hat, e_norm, xt_norm, tr.y_d, tr.y_hat, tr.y_f]
+    fmt = ",".join(["%.17g"] * len(header))
+    rows = tr.t.shape[0]
+    # convert a slice at a time: a whole trace as Python floats would
+    # weigh several times the arrays it came from
+    for start in range(0, rows, _CSV_CHUNK_ROWS):
+        chunk = np.column_stack(
+            [c[start:start + _CSV_CHUNK_ROWS] for c in columns])
+        for row in chunk.tolist():
+            yield fmt % tuple(row)
 
 
 def render_metrics(m: Metrics) -> str:
@@ -126,20 +127,33 @@ def _load(path: str) -> LoadedScenario:
 
 def _run_one(path: str, mode: str | None, eps_band: float | None,
              out_dir: Path) -> int:
-    loaded = _load(path)
-    s = loaded.scenario
-    if mode is not None:
-        s = replace(s, mode=mode)
-    if eps_band is not None:
-        s = replace(s, eps_band=eps_band)
-    tr = engine.run(s)
-    m = engine.metrics(tr, s)
-    _write_run_outputs(tr, s, m, out_dir)
+    """Run one scenario file; report a failure as `<path>: <error>`."""
+    try:
+        loaded = _load(path)
+        s = loaded.scenario
+        if mode is not None:
+            s = replace(s, mode=mode)
+        if eps_band is not None:
+            s = replace(s, eps_band=eps_band)
+        tr = engine.run(s)
+        m = engine.metrics(tr, s)
+        _write_run_outputs(tr, s, m, out_dir)
+    except ScenarioError as exc:
+        print(f"{path}: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (InputGainTooSmall, NonFiniteDerivative, DomainError,
+            MatchingConditionViolated) as exc:
+        print(f"{path}: numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"{path}: i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"{path}: {len(tr.t)} rows -> {out_dir}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
+    """Run every scenario, even after one fails; exit with the worst code."""
     out_root = Path(args.out)
     paths = args.scenario
     jobs = max(1, args.jobs)
@@ -152,23 +166,12 @@ def cmd_run(args) -> int:
     def one(path: str) -> int:
         return _run_one(path, args.mode, args.eps_band, target_dir(path))
 
-    try:
-        if jobs == 1 or len(paths) == 1:
-            codes = [one(p) for p in paths]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                codes = list(pool.map(one, paths))
-        return max(codes)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InputGainTooSmall, NonFiniteDerivative, DomainError,
-            MatchingConditionViolated) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if jobs == 1 or len(paths) == 1:
+        codes = [one(p) for p in paths]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            codes = list(pool.map(one, paths))
+    return max(codes)
 
 
 def cmd_verify(args) -> int:

@@ -17,6 +17,7 @@ Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,8 @@ class _CompiledRhs:
     """Plain-float right-hand side of the augmented ODE.
 
     numpy's per-call overhead dominates at n ~ 3, so the hot loop runs on
-    Python floats with precompiled expression closures; rk4_step still does
-    the stage combination on numpy arrays.
+    Python floats with precompiled expression closures: z and the
+    derivative are lists, and rk4_step combines the stages on lists too.
     """
 
     def __init__(self, s: Scenario, gains: NominalGains):
@@ -177,12 +178,11 @@ class _CompiledRhs:
                 total += fn(t, ())
         return total
 
-    def full(self, t: float, z: np.ndarray) -> tuple[list, float, float]:
+    def full(self, t: float, z: list[float]) -> tuple[list, float, float]:
         """Derivative of z plus the inputs (u, u_f) in effect at t."""
         n = self.n
-        zl = z.tolist()
-        x_d = zl[0:n]
-        x_hat = zl[n:2 * n]
+        x_d = z[0:n]
+        x_hat = z[n:2 * n]
 
         r = self.r(t, ())
         g_hat = self.g(t, x_hat)
@@ -215,10 +215,10 @@ class _CompiledRhs:
             out[2 * n:3 * n] = out[n:2 * n]
             return out, u, u
 
-        x_f = zl[2 * n:3 * n]
-        M = zl[3 * n:4 * n]
-        N = zl[4 * n]
-        d_hat = zl[4 * n + 1]
+        x_f = z[2 * n:3 * n]
+        M = z[3 * n:4 * n]
+        N = z[4 * n]
+        d_hat = z[4 * n + 1]
         x_t = [x_f[i] - x_hat[i] for i in range(n)]
 
         if self.mode == MODE_FAULTY_WITH_VA:
@@ -269,9 +269,9 @@ class _CompiledRhs:
             out[4 * n + 1] = self.gamma3 * sgn
         return out, u, u_f
 
-    def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, z: list[float]) -> list[float]:
         out, _, _ = self.full(t, z)
-        return np.asarray(out)
+        return out
 
 
 def run(s: Scenario) -> SimTrace:
@@ -289,7 +289,7 @@ def run(s: Scenario) -> SimTrace:
 
     x_f0 = s.x_hat0 if s.mode == MODE_NOMINAL_ONLY else s.x_f0
     z = np.concatenate([s.x_d0, s.x_hat0, x_f0,
-                        AdaptiveState.transparent(n).pack()])
+                        AdaptiveState.transparent(n).pack()]).tolist()
 
     t_grid = np.arange(steps + 1) * h
     Z = np.empty((steps + 1, 4 * n + 2))
@@ -299,18 +299,19 @@ def run(s: Scenario) -> SimTrace:
     for k in range(steps + 1):
         t = k * h
         try:
-            _, u, u_f = rhs.full(t, z)
+            # the recorded derivative is RK4's first stage
+            k1, u, u_f = rhs.full(t, z)
             Z[k] = z
             U[k] = u
             UF[k] = u_f
             if k < steps:
-                z = numerics.rk4_step(rhs, t, z, h)
+                z = numerics.rk4_step(rhs, t, z, h, k1)
         except DomainError as exc:
             raise DomainError(f"{exc} (during step starting at t={t})") from exc
         except NonFiniteDerivative as exc:
             raise NonFiniteDerivative(
                 f"{exc} (during step starting at t={t})") from exc
-        if not np.all(np.isfinite(z)):
+        if not all(map(math.isfinite, z)):
             raise NonFiniteDerivative(f"state diverged during step at t={t}")
 
     x_d = Z[:, 0:n]

@@ -1,15 +1,18 @@
 """Small dense linear algebra and fixed-step integration.
 
-Everything here works on plain numpy float arrays: vectors are 1-d arrays,
-matrices 2-d. Sizes are tiny (n <= 10), so the routines favour verifiable
-code over asymptotic cleverness: the Lyapunov equation is solved through
-its Kronecker vectorization, definiteness through explicit Cholesky pivots,
-and symmetric eigenvalues through cyclic Jacobi sweeps.
+The linear algebra works on plain numpy float arrays: vectors are 1-d
+arrays, matrices 2-d. Sizes are tiny (n <= 10), so the routines favour
+verifiable code over asymptotic cleverness: the Lyapunov equation is solved
+through its Kronecker vectorization, definiteness through explicit Cholesky
+pivots, and symmetric eigenvalues through cyclic Jacobi sweeps. The RK4
+step works on float sequences instead, because at these sizes numpy's
+per-call overhead costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,22 +41,33 @@ class ZeroColumn(ValueError):
     """Column vector has (numerically) zero norm."""
 
 
-def rk4_step(deriv: Callable[[float, np.ndarray], np.ndarray],
-             t: float, x: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(deriv: Callable[[float, Sequence[float]], Sequence[float]],
+             t: float, x: Sequence[float], h: float,
+             k1: Sequence[float] | None = None) -> list[float]:
     """Advance x by one classical 4th-order Runge-Kutta step of size h.
+
+    x and the derivatives are float sequences; the new state is returned as
+    a list. Pass k1 = deriv(t, x) when the caller has already evaluated it,
+    which saves one of the four evaluations. Each element is combined in
+    the order the array expressions x + (h/2)*k and
+    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4) use, so the result is bit-identical
+    to the numpy form.
 
     Raises NonFiniteDerivative if any of the four stage evaluations is
     non-finite; the state itself then stays untouched.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = np.asarray(deriv(t, x), dtype=float)
-        k2 = np.asarray(deriv(t + h / 2.0, x + (h / 2.0) * k1), dtype=float)
-        k3 = np.asarray(deriv(t + h / 2.0, x + (h / 2.0) * k2), dtype=float)
-        k4 = np.asarray(deriv(t + h, x + h * k3), dtype=float)
-        for k in (k1, k2, k3, k4):
-            if not np.all(np.isfinite(k)):
-                raise NonFiniteDerivative(f"non-finite derivative near t={t!r}")
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if k1 is None:
+        k1 = deriv(t, x)
+    h2 = h / 2.0
+    k2 = deriv(t + h2, [a + h2 * b for a, b in zip(x, k1)])
+    k3 = deriv(t + h2, [a + h2 * b for a, b in zip(x, k2)])
+    k4 = deriv(t + h, [a + h * b for a, b in zip(x, k3)])
+    for k in (k1, k2, k3, k4):
+        if not all(map(math.isfinite, k)):
+            raise NonFiniteDerivative(f"non-finite derivative near t={t!r}")
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

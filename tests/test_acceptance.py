@@ -139,7 +139,7 @@ def test_criterion_08_integrator_order(stock):
     for h in (0.1, 0.05, 0.025):
         x = np.array([1.0])
         for k in range(round(1.0 / h)):
-            x = rk4_step(lambda t, v: -v, k * h, x, h)
+            x = rk4_step(lambda t, v: np.negative(v), k * h, x, h)
         errs.append(abs(float(x[0]) - math.exp(-1.0)))
     orders_exp = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders_exp) >= 3.9

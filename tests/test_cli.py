@@ -82,6 +82,24 @@ class TestRun:
         p.write_text(text)
         assert cli.main(["run", str(p), "-o", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
 
+    def test_failing_scenario_does_not_stop_batch(self, short_scenario,
+                                                  tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("[system]\nn = banana\n")
+        out = tmp_path / "batch"
+        code = cli.main(["run", str(bad), str(short_scenario), "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert f"{bad}: " in capsys.readouterr().err
+        for name in ("trace.csv", "metrics.txt", "output.svg"):
+            assert (out / "short" / name).exists()
+
+    def test_batch_exits_with_worst_code(self, short_scenario, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("[system]\nn = banana\n")
+        code = cli.main(["run", str(bad), str(tmp_path / "nope.scn"),
+                         str(short_scenario), "-o", str(tmp_path / "b")])
+        assert code == cli.EXIT_IO
+
     def test_multiple_scenarios_with_jobs(self, short_scenario, tmp_path):
         other = tmp_path / "other.scn"
         other.write_text(short_scenario.read_text())

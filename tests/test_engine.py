@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import ftcsim as F
-from ftcsim import engine, plant
+from ftcsim import controller, engine, plant
 from ftcsim.controller import InputGainTooSmall
-from ftcsim.exprlang import DomainError
-from ftcsim.faults import FaultSchedule, LossOfEffectiveness
+from ftcsim.exprlang import DomainError, parse
+from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
+                           FaultSchedule, LossOfEffectiveness)
 from ftcsim.numerics import NonFiniteDerivative
 from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
 
@@ -76,6 +77,69 @@ class TestRunBasics:
         pre = a.t < 1.0
         assert np.array_equal(a.x_f[pre], b.x_f[pre])
         assert not np.array_equal(a.x_f[-1], b.x_f[-1])
+
+
+def numpy_rk4_run(s):
+    """The engine loop as it was on numpy arrays: a recording call plus four
+    RK4 stages per step, each stage state built as an array expression."""
+    n = s.core.n
+    rhs = engine._CompiledRhs(s, controller.gains_for(s.core, s.ref))
+
+    def deriv(t, z):
+        return np.asarray(rhs.full(t, z.tolist())[0], dtype=float)
+
+    steps, h = s.n_steps, s.h
+    x_f0 = s.x_hat0 if s.mode == "nominal_only" else s.x_f0
+    z = np.concatenate([s.x_d0, s.x_hat0, x_f0,
+                        F.AdaptiveState.transparent(n).pack()])
+    Z = np.empty((steps + 1, 4 * n + 2))
+    U = np.empty(steps + 1)
+    UF = np.empty(steps + 1)
+    for k in range(steps + 1):
+        t = k * h
+        _, U[k], UF[k] = rhs.full(t, z.tolist())
+        Z[k] = z
+        if k < steps:
+            k1 = deriv(t, z)
+            k2 = deriv(t + h / 2.0, z + (h / 2.0) * k1)
+            k3 = deriv(t + h / 2.0, z + (h / 2.0) * k2)
+            k4 = deriv(t + h, z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_d, x_hat, x_f = Z[:, 0:n], Z[:, n:2 * n], Z[:, 2 * n:3 * n]
+    Ct = s.core.C.T
+    return engine.SimTrace(
+        t=np.arange(steps + 1) * h, x_d=x_d, x_hat=x_hat, x_f=x_f,
+        u=U, u_f=UF, M=Z[:, 3 * n:4 * n], N=Z[:, 4 * n],
+        d_hat=Z[:, 4 * n + 1], e=x_hat - x_d, x_tilde=x_f - x_hat,
+        y_d=x_d @ Ct, y_hat=x_hat @ Ct, y_f=x_f @ Ct)
+
+
+class TestAgainstNumpyLoop:
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_bit_identical_across_all_fault_kinds(self, stock, mode):
+        sched = FaultSchedule((
+            LossOfEffectiveness(at=0.1, theta=0.65),
+            ExternalDisturbance(at=0.2, signal=parse("1", 0)),
+            AdditiveActuator(at=0.3, signal=parse("0.5*sin(2*t)", 0))))
+        s = dataclasses.replace(stock, schedule=sched, t_end=0.5, mode=mode)
+        got, want = F.run(s), numpy_rk4_run(s)
+        for field in dataclasses.fields(engine.SimTrace):
+            assert np.array_equal(getattr(got, field.name),
+                                  getattr(want, field.name)), field.name
+
+    def test_four_rhs_calls_per_step(self, stock, monkeypatch):
+        calls = 0
+        full = engine._CompiledRhs.full
+
+        def counted(self, t, z):
+            nonlocal calls
+            calls += 1
+            return full(self, t, z)
+
+        monkeypatch.setattr(engine._CompiledRhs, "full", counted)
+        s = dataclasses.replace(stock, t_end=0.25)
+        F.run(s)
+        assert calls == 4 * s.n_steps + 1
 
 
 class TestDifferenceSystemConsistency:

@@ -133,12 +133,16 @@ class TestEval:
 
     @pytest.mark.parametrize("src", [
         "log(-1)", "log(0)", "sqrt(-4)", "1/(t-2)", "(-2)^0.5", "0^-1",
-        "exp(1000)", "2^10000",
+        "exp(1000)", "2^10000", "1e300*1e300", "1e308+1e308", "-1e308-1e308",
     ])
     def test_domain_errors_reported(self, src):
         e = parse(src, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as walked:
             evaluate(e, 2.0, [])
+        with pytest.raises(DomainError) as compiled:
+            compile_expr(e)(2.0, [])
+        assert type(compiled.value) is type(walked.value)
+        assert str(compiled.value) == str(walked.value)
 
     def test_dimension_mismatch_rejected(self):
         e = parse("x1", 1)

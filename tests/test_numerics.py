@@ -85,13 +85,27 @@ class TestRk4:
         assert x[0] == 0.5
 
     def test_exponential_single_step(self):
-        x = rk4_step(lambda t, x: -x, 0.0, np.array([1.0]), 0.1)
+        x = rk4_step(lambda t, x: np.negative(x), 0.0, np.array([1.0]), 0.1)
         assert x[0] == pytest.approx(0.9048375, abs=1e-12)
         assert abs(x[0] - math.exp(-0.1)) < 0.1 ** 5
 
     def test_nonfinite_stage_detected(self):
         with pytest.raises(NonFiniteDerivative):
-            rk4_step(lambda t, x: x * float("inf"), 0.0, np.array([1.0]), 0.1)
+            rk4_step(lambda t, x: np.multiply(x, float("inf")), 0.0,
+                     np.array([1.0]), 0.1)
+
+    def test_given_k1_saves_one_evaluation(self):
+        calls = []
+
+        def deriv(t, x):
+            calls.append(t)
+            return [-v for v in x]
+
+        plain = rk4_step(deriv, 0.0, [1.0, -2.0], 0.1)
+        assert len(calls) == 4
+        reused = rk4_step(deriv, 0.0, [1.0, -2.0], 0.1, k1=[-1.0, 2.0])
+        assert len(calls) == 7
+        assert reused == plain
 
     def test_convergence_order(self):
         errs = []
@@ -99,7 +113,7 @@ class TestRk4:
             x = np.array([1.0])
             steps = round(1.0 / h)
             for k in range(steps):
-                x = rk4_step(lambda t, x: -x, k * h, x, h)
+                x = rk4_step(lambda t, x: np.negative(x), k * h, x, h)
             errs.append(abs(x[0] - math.exp(-1.0)))
         for a, b in zip(errs, errs[1:]):
             assert math.log2(a / b) >= 3.9
