@@ -8,24 +8,20 @@ certificates involved.
 """
 
 from .controller import (InputGainTooSmall, MatchingConditionViolated,
-                         NominalGains, nominal_control, synthesize_gains)
+                         NominalGains, synthesize_gains)
 from .engine import (MODE_FAULTY_NO_VA, MODE_FAULTY_WITH_VA,
                      MODE_NOMINAL_ONLY, Metrics, Scenario, SimTrace, metrics,
                      run)
 from .exprlang import (DomainError, Expr, ExprError, compile_expr, evaluate,
                        format_expr, parse)
 from .faults import (AdditiveActuator, ExternalDisturbance, FaultSchedule,
-                     LossOfEffectiveness, additive_fault, effective_theta,
-                     external_disturbance)
-from .numerics import (NonFiniteDerivative, NoConvergence, NotSymmetric,
-                       SingularSystem, ZeroColumn, eig_symmetric,
-                       is_positive_definite, left_pinv_col, rk4_step,
-                       solve_lyapunov)
+                     LossOfEffectiveness)
+from .numerics import (NonFiniteDerivative, NotSymmetric, SingularSystem,
+                       ZeroColumn, eig_symmetric, is_positive_definite,
+                       left_pinv_col, rk4_step, solve_lyapunov)
 from .plant import (DisturbanceChannel, LinearCore, NonlinearPair,
-                    ReferenceModel, faulty_deriv, nominal_deriv, output,
-                    reference_deriv)
+                    ReferenceModel)
 from .verify import ConditionReport, check_condition, synthesize_p
-from .virtual_actuator import (AdaptationConfig, AdaptiveState, adapt_deriv,
-                               ideal_feedforward, reconfigure, uub_radius)
+from .virtual_actuator import AdaptationConfig, uub_radius
 
 __version__ = "0.1.0"

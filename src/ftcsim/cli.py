@@ -8,15 +8,14 @@ Verbs:
   emit-default  write the stock three-state actuator-fault study
 
 Exit codes: 0 success (for verify: certified), 1 not certified / matching
-failed, 2 scenario parse error, 3 numerical abort, 4 I/O error. A batch
-run exits with the highest code of its scenarios.
+failed, 2 scenario parse error or rejected override, 3 numerical abort,
+4 I/O error. A batch run exits with the highest code of its scenarios.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .controller import (InputGainTooSmall, MatchingConditionViolated,
 from .engine import Metrics, Scenario, SimTrace
 from .exprlang import DomainError
 from .numerics import NonFiniteDerivative
-from .scenario_io import LoadedScenario, ScenarioError
+from .scenario_io import ScenarioError
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -121,20 +120,19 @@ def _write_run_outputs(tr: SimTrace, s: Scenario, m: Metrics, out_dir: Path) -> 
                         "Adaptive parameters", y_label="value")
 
 
-def _load(path: str) -> LoadedScenario:
-    return scenario_io.load(path)
-
-
 def _run_one(path: str, mode: str | None, eps_band: float | None,
              out_dir: Path) -> int:
     """Run one scenario file; report a failure as `<path>: <error>`."""
     try:
-        loaded = _load(path)
-        s = loaded.scenario
-        if mode is not None:
-            s = replace(s, mode=mode)
-        if eps_band is not None:
-            s = replace(s, eps_band=eps_band)
+        s = scenario_io.load(path).scenario
+        try:
+            if mode is not None:
+                s = replace(s, mode=mode)
+            if eps_band is not None:
+                s = replace(s, eps_band=eps_band)
+        except ValueError as exc:
+            print(f"{path}: error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         tr = engine.run(s)
         m = engine.metrics(tr, s)
         _write_run_outputs(tr, s, m, out_dir)
@@ -156,27 +154,16 @@ def cmd_run(args) -> int:
     """Run every scenario, even after one fails; exit with the worst code."""
     out_root = Path(args.out)
     paths = args.scenario
-    jobs = max(1, args.jobs)
-
-    def target_dir(path: str) -> Path:
-        if len(paths) == 1:
-            return out_root
-        return out_root / Path(path).stem
-
-    def one(path: str) -> int:
-        return _run_one(path, args.mode, args.eps_band, target_dir(path))
-
-    if jobs == 1 or len(paths) == 1:
-        codes = [one(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(one, paths))
+    codes = []
+    for path in paths:
+        out_dir = out_root if len(paths) == 1 else out_root / Path(path).stem
+        codes.append(_run_one(path, args.mode, args.eps_band, out_dir))
     return max(codes)
 
 
 def cmd_verify(args) -> int:
     try:
-        loaded = _load(args.scenario)
+        loaded = scenario_io.load(args.scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -212,7 +199,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gains(args) -> int:
     try:
-        loaded = _load(args.scenario)
+        loaded = scenario_io.load(args.scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -260,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: out)")
     run_p.add_argument("--eps-band", type=float, default=None,
                        help="override the recovery band")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="run multiple scenarios concurrently")
     run_p.set_defaults(fn=cmd_run)
 
     ver_p = sub.add_parser("verify", help="check the Lyapunov conditions")

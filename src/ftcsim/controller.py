@@ -1,6 +1,6 @@
-"""Feedback-linearizing nominal controller and model-matching gains.
+"""Model-matching gains of the feedback-linearizing nominal controller.
 
-The control law
+The control law, evaluated in ``engine._CompiledRhs``,
 
     u = (1/g(x)) * (-f(x) + k_r r + k_x . x)
 
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
 from .numerics import left_pinv_col
-from .plant import LinearCore, NonlinearPair, ReferenceModel
+from .plant import LinearCore, ReferenceModel
 
 MATCHING_TOL = 1e-8
 
@@ -73,14 +72,3 @@ def synthesize_gains(A: np.ndarray, b: np.ndarray,
 def gains_for(core: LinearCore, ref: ReferenceModel) -> NominalGains:
     return synthesize_gains(core.A, core.b, ref.A_d, ref.B_d)
 
-
-def nominal_control(gains: NominalGains, nl: NonlinearPair, t: float,
-                    x_hat: np.ndarray, r: float) -> float:
-    """u = (1/g)(-f + k_r r + k_x . x_hat); raises InputGainTooSmall
-    when |g| drops below the configured floor."""
-    g = exprlang.evaluate(nl.g, t, x_hat)
-    if abs(g) < nl.g_min:
-        raise InputGainTooSmall(
-            f"|g|={abs(g):.3e} below floor {nl.g_min:.3e} at t={t!r}")
-    f = exprlang.evaluate(nl.f, t, x_hat)
-    return (-f + gains.k_r * r + float(np.dot(gains.k_x, x_hat))) / g

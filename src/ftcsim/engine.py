@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .faults import (AdditiveActuator, ExternalDisturbance, FaultSchedule,
 from .numerics import NonFiniteDerivative
 from .plant import (DisturbanceChannel, LinearCore, NonlinearPair,
                     ReferenceModel)
-from .virtual_actuator import AdaptationConfig, AdaptiveState, uub_radius
+from .virtual_actuator import AdaptationConfig, uub_radius
 
 MODE_NOMINAL_ONLY = "nominal_only"
 MODE_FAULTY_NO_VA = "faulty_no_va"
@@ -89,6 +90,12 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.h))
 
+    @cached_property
+    def gains(self) -> NominalGains:
+        """Model-matching gains, synthesized on first use and then shared
+        by run and metrics; raises MatchingConditionViolated."""
+        return controller.gains_for(self.core, self.ref)
+
 
 @dataclass
 class SimTrace:
@@ -128,14 +135,30 @@ class Metrics:
 
 
 class _CompiledRhs:
-    """Plain-float right-hand side of the augmented ODE.
+    """The closed-loop dynamics: right-hand side of the augmented ODE.
+
+    This is the one definition the simulation integrates:
+
+        u      = (1/g(x_hat)) (-f(x_hat) + k_r r + k_x . x_hat)
+        x_d'   = A_d x_d + B_d r
+        x_hat' = A x_hat + b (f(x_hat) + g(x_hat) u)
+        u_f    = M . x_tilde + N u - d_hat   (faulty_no_va: u_f = u)
+        x_f'   = A x_f + b (f(x_f) + theta g(x_f) (u_f + d_f)) + E d
+        M'     = -gamma1 s x_tilde,  N' = -gamma2 s u,  d_hat' = gamma3 s
+
+    with x_tilde = x_f - x_hat and s = g(x_f) b^T P x_tilde. E is the
+    constant column, or scale b g(x_f) for a matched channel; theta, d_f
+    and d come from the fault schedule at t (theta_at, signal_sum).
+    nominal_only copies x_hat' into x_f'; the adaptive parameters move
+    only in faulty_with_va.
 
     numpy's per-call overhead dominates at n ~ 3, so the hot loop runs on
     Python floats with precompiled expression closures: z and the
     derivative are lists, and rk4_step combines the stages on lists too.
     """
 
-    def __init__(self, s: Scenario, gains: NominalGains):
+    def __init__(self, s: Scenario):
+        gains = s.gains
         self.n = n = s.core.n
         self.mode = s.mode
         self.A = [[float(v) for v in row] for row in s.core.A]
@@ -282,14 +305,14 @@ def run(s: Scenario) -> SimTrace:
     (each tagged with the time) if the run cannot continue.
     """
     n = s.core.n
-    gains = controller.gains_for(s.core, s.ref)
-    rhs = _CompiledRhs(s, gains)
+    rhs = _CompiledRhs(s)
     steps = s.n_steps
     h = s.h
 
     x_f0 = s.x_hat0 if s.mode == MODE_NOMINAL_ONLY else s.x_f0
-    z = np.concatenate([s.x_d0, s.x_hat0, x_f0,
-                        AdaptiveState.transparent(n).pack()]).tolist()
+    # M = 0, N = 1, d_hat = 0: the virtual actuator starts transparent
+    z = (s.x_d0.tolist() + s.x_hat0.tolist() + x_f0.tolist()
+         + [0.0] * n + [1.0, 0.0])
 
     t_grid = np.arange(steps + 1) * h
     Z = np.empty((steps + 1, 4 * n + 2))
@@ -361,11 +384,10 @@ def metrics(tr: SimTrace, s: Scenario, eps_band: float | None = None) -> Metrics
                                    peak=float(window.max()),
                                    recovery_time=recovery))
 
-    gains = controller.gains_for(s.core, s.ref)
     r_fn = exprlang.compile_expr(s.r_signal)
     r_bound = max(abs(r_fn(float(tk), ())) for tk in t)
     x_hat_bound = float(np.linalg.norm(tr.x_hat, axis=1).max())
-    bound = uub_radius(s.adaptation, s.core, gains, r_bound, x_hat_bound)
+    bound = uub_radius(s.adaptation, s.core, s.gains, r_bound, x_hat_bound)
     sup_xt_tail = float(xt_norm[tail].max())
     return Metrics(
         sup_e_tail=float(e_norm[tail].max()),

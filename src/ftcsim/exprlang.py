@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 MAX_DEPTH = 64
@@ -104,6 +105,10 @@ class Expr:
 
     def __call__(self, t: float, x: Sequence[float] = ()) -> float:
         return evaluate(self, t, x)
+
+    @cached_property
+    def _closure(self) -> Callable[[float, Sequence[float]], float]:
+        return _compile(self.node)
 
 
 _FUNCTION_ARITY = {
@@ -339,7 +344,7 @@ def _step(a: float) -> float:
     return 0.0 if a < 0.0 else 1.0
 
 
-# The callable behind each function name, shared by both evaluators.
+# The callable behind each function name.
 _FUNCTIONS: dict[str, Callable[..., float]] = {
     "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": _exp,
     "log": _log, "sqrt": _sqrt, "abs": abs, "sign": _sign, "step": _step,
@@ -347,50 +352,31 @@ _FUNCTIONS: dict[str, Callable[..., float]] = {
 }
 
 
-def _eval_node(node: Node, t: float, x: Sequence[float]) -> float:
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, StateVar):
-        return float(x[node.index - 1])
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, t, x)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, t, x)
-        b = _eval_node(node.right, t, x)
-        if node.op == "+":
-            return _check_finite(a + b)
-        if node.op == "-":
-            return _check_finite(a - b)
-        if node.op == "*":
-            return _check_finite(a * b)
-        if node.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return _check_finite(a / b)
-        return _apply_pow(a, b)
-    if isinstance(node, Call):
-        return _FUNCTIONS[node.name](*[_eval_node(a, t, x) for a in node.args])
-    raise AssertionError(f"unhandled node {node!r}")
-
-
 def evaluate(expr: Expr, t: float, x: Sequence[float] = ()) -> float:
     """Evaluate expr at time t and state x (length must match n_states)."""
     if len(x) != expr.n_states:
         raise ValueError(
             f"state has dimension {len(x)}, expression expects {expr.n_states}")
-    return _eval_node(expr.node, t, x)
+    return expr._closure(t, x)
 
 
 def compile_expr(expr: Expr) -> Callable[[float, Sequence[float]], float]:
-    """Build a closure tree equivalent to evaluate(expr, t, x).
+    """The closure that evaluates expr: f(t, x) -> float.
 
-    Same domain checks, same messages, same results. The node dispatch and
-    the function lookup happen once, here, instead of on every call, and
-    + - * check finiteness inline, so tight simulation loops stay fast.
-    No codegen or eval() involved. Unlike evaluate, the closure does not
-    check the length of x.
+    Built once per Expr and shared by every caller. Unlike evaluate, the
+    closure does not check the length of x.
+    """
+    return expr._closure
+
+
+def _compile(root: Node) -> Callable[[float, Sequence[float]], float]:
+    """Build a closure tree for root.
+
+    The node dispatch and the function lookup happen once, here, instead of
+    on every call, and + - * check finiteness inline, so tight simulation
+    loops stay fast. Operands are evaluated left to right, so the first
+    domain violation in source order is the one reported. No codegen or
+    eval() involved.
     """
     isfinite = math.isfinite
 
@@ -443,14 +429,15 @@ def compile_expr(expr: Expr) -> Callable[[float, Sequence[float]], float]:
             return mul
         if op == "/":
             def div(t, x):
+                a = fa(t, x)
                 b = fb(t, x)
                 if b == 0.0:
                     raise DomainError("division by zero")
-                return _check_finite(fa(t, x) / b)
+                return _check_finite(a / b)
             return div
         return lambda t, x: _apply_pow(fa(t, x), fb(t, x))
 
-    return build(expr.node)
+    return build(root)
 
 
 # ---------------------------------------------------------------------------

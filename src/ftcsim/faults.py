@@ -8,14 +8,15 @@ onward, including the instant itself):
   * additive actuator fault d_f(t): time signals, summed once triggered,
   * external disturbance d(t): likewise.
 
-Signals are expressions of t only (no state variables).
+Signals are expressions of t only (no state variables). The engine
+evaluates the schedule in ``engine._CompiledRhs`` (``theta_at`` and
+``signal_sum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import exprlang
 from .exprlang import Expr
 
 
@@ -74,39 +75,6 @@ class FaultSchedule:
     @property
     def times(self) -> list[float]:
         return [e.at for e in self.events]
-
-
-def effective_theta(sched: FaultSchedule, t: float) -> float:
-    """theta of the latest triggered loss-of-effectiveness event, else 1."""
-    theta = 1.0
-    for ev in sched.events:
-        if ev.at > t:
-            break
-        if isinstance(ev, LossOfEffectiveness):
-            theta = ev.theta
-    return theta
-
-
-def additive_fault(sched: FaultSchedule, t: float) -> float:
-    """Sum of triggered additive actuator fault signals, evaluated at t."""
-    total = 0.0
-    for ev in sched.events:
-        if ev.at > t:
-            break
-        if isinstance(ev, AdditiveActuator):
-            total += exprlang.evaluate(ev.signal, t, ())
-    return total
-
-
-def external_disturbance(sched: FaultSchedule, t: float) -> float:
-    """Sum of triggered external disturbance signals, evaluated at t."""
-    total = 0.0
-    for ev in sched.events:
-        if ev.at > t:
-            break
-        if isinstance(ev, ExternalDisturbance):
-            total += exprlang.evaluate(ev.signal, t, ())
-    return total
 
 
 def check_grid_alignment(sched: FaultSchedule, h: float) -> None:

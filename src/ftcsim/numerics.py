@@ -3,10 +3,10 @@
 The linear algebra works on plain numpy float arrays: vectors are 1-d
 arrays, matrices 2-d. Sizes are tiny (n <= 10), so the routines favour
 verifiable code over asymptotic cleverness: the Lyapunov equation is solved
-through its Kronecker vectorization, definiteness through explicit Cholesky
-pivots, and symmetric eigenvalues through cyclic Jacobi sweeps. The RK4
-step works on float sequences instead, because at these sizes numpy's
-per-call overhead costs more than the arithmetic.
+through its Kronecker vectorization and definiteness through explicit
+Cholesky pivots; symmetric eigenvalues come from numpy.linalg.eigvalsh.
+The RK4 step works on float sequences instead, because at these sizes
+numpy's per-call overhead costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class SingularSystem(ArithmeticError):
 
 class NotSymmetric(ValueError):
     """Matrix asymmetry exceeds the symmetry tolerance."""
-
-
-class NoConvergence(ArithmeticError):
-    """Jacobi sweeps failed to drive the off-diagonal norm down."""
 
 
 class ZeroColumn(ValueError):
@@ -135,49 +131,15 @@ def is_positive_definite(M: np.ndarray) -> bool:
     return len(pivots) == M.shape[0] and pivots[-1] > PD_PIVOT_TOL
 
 
-def eig_symmetric(M: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
+def eig_symmetric(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending.
 
-    Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal Frobenius norm drops below 1e-12. Raises NoConvergence
-    if that has not happened after max_sweeps sweeps, NotSymmetric if M
-    is not symmetric to 1e-9.
+    Raises NotSymmetric if M is not symmetric to 1e-9; otherwise the
+    symmetrized matrix goes to LAPACK's symmetric eigensolver.
     """
     M = np.asarray(M, dtype=float)
     _require_symmetric(M, "M")
-    A = 0.5 * (M + M.T)
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :].copy()
-
-    def off_norm() -> float:
-        return float(np.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2)))
-
-    for _ in range(max_sweeps):
-        if off_norm() < 1e-12:
-            return np.sort(np.diag(A))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                # Rotation angle that zeroes A[p,q] (Golub & Van Loan form,
-                # smaller-magnitude tangent root for stability).
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                idx = [p, q]
-                jt = np.array([[c, -s], [s, c]])
-                A[idx, :] = jt @ A[idx, :]
-                A[:, idx] = A[:, idx] @ jt.T
-                A[p, q] = A[q, p] = 0.0
-    if off_norm() < 1e-12:
-        return np.sort(np.diag(A))
-    raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+    return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
 def left_pinv_col(b: np.ndarray) -> np.ndarray:

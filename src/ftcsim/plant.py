@@ -1,4 +1,4 @@
-"""Right-hand sides of the reference model, nominal plant and faulty plant.
+"""Model data of the reference model, nominal plant and faulty plant.
 
 The plant family is single-input affine:
 
@@ -9,7 +9,9 @@ The plant family is single-input affine:
 with scalar input, scalar drift nonlinearity f, scalar input gain g, and a
 loss-of-effectiveness factor theta in (0, 1]. The disturbance channel E is
 either a constant column or "matched": E(t) = scale * b * g along the
-trajectory.
+trajectory. The dataclasses here hold and validate the model; the
+right-hand sides themselves live in ``engine._CompiledRhs``, the one
+definition the simulation integrates.
 """
 
 from __future__ import annotations
@@ -143,38 +145,3 @@ class DisturbanceChannel:
                 raise ModelError("constant disturbance channel needs E")
             object.__setattr__(self, "E", np.asarray(self.E, dtype=float).reshape(-1))
 
-
-def reference_deriv(m: ReferenceModel, x_d: np.ndarray, r: float) -> np.ndarray:
-    """x_d' = A_d x_d + B_d r."""
-    return m.A_d @ x_d + m.B_d * r
-
-
-def nominal_deriv(core: LinearCore, nl: NonlinearPair, t: float,
-                  x_hat: np.ndarray, u: float) -> np.ndarray:
-    """x_hat' = A x_hat + b (f(x_hat) + g(x_hat) u)."""
-    f = exprlang.evaluate(nl.f, t, x_hat)
-    g = exprlang.evaluate(nl.g, t, x_hat)
-    return core.A @ x_hat + core.b * (f + g * u)
-
-
-def faulty_deriv(core: LinearCore, nl: NonlinearPair, t: float,
-                 x_f: np.ndarray, u_f: float, theta_eff: float,
-                 d_f: float, d: float, ch: DisturbanceChannel) -> np.ndarray:
-    """Faulty plant right-hand side with effectiveness theta_eff in (0, 1].
-
-    Arranged so that theta_eff = 1, d_f = 0, d = 0 reproduces nominal_deriv
-    bit for bit (the virtual actuator's transparency test relies on it).
-    """
-    if not 0.0 < theta_eff <= 1.0:
-        raise ModelError(f"theta_eff must be in (0, 1], got {theta_eff}")
-    f = exprlang.evaluate(nl.f, t, x_f)
-    g = exprlang.evaluate(nl.g, t, x_f)
-    dx = core.A @ x_f + core.b * (f + theta_eff * g * (u_f + d_f))
-    if ch.mode == "matched":
-        return dx + core.b * (ch.scale * g * d)
-    return dx + ch.E * d
-
-
-def output(core: LinearCore, x: np.ndarray) -> np.ndarray:
-    """y = C x."""
-    return core.C @ x

@@ -11,7 +11,9 @@ shared scalar s = g(x_f) * b^T P x_tilde:
     M' = -gamma1 s x_tilde^T,   N' = -gamma2 s u,   d_hat' = gamma3 s.
 
 With M = 0, N = 1, d_hat = 0 the block is transparent, so before any
-fault the faulty plant behaves exactly like the nominal one.
+fault the faulty plant behaves exactly like the nominal one. The block and
+its laws are integrated in ``engine._CompiledRhs``; this module holds
+their configuration and the ultimate bound.
 """
 
 from __future__ import annotations
@@ -20,31 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
-from .controller import InputGainTooSmall, NominalGains
+from .controller import NominalGains
 from .numerics import is_positive_definite
-from .plant import LinearCore, NonlinearPair
-
-
-@dataclass
-class AdaptiveState:
-    """Adjustable parameters of the reconfiguration block."""
-
-    M: np.ndarray   # 1 x n state-difference gain, stored as a vector
-    N: float        # nominal-input gain
-    d_hat: float    # lumped disturbance estimate
-
-    @classmethod
-    def transparent(cls, n: int) -> "AdaptiveState":
-        return cls(M=np.zeros(n), N=1.0, d_hat=0.0)
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.M, [self.N, self.d_hat]])
-
-    @classmethod
-    def unpack(cls, v: np.ndarray, n: int) -> "AdaptiveState":
-        v = np.asarray(v, dtype=float)
-        return cls(M=v[:n].copy(), N=float(v[n]), d_hat=float(v[n + 1]))
+from .plant import LinearCore
 
 
 @dataclass(frozen=True)
@@ -58,9 +38,6 @@ class AdaptationConfig:
     theta_design: float = 0.5
     d_tilde_max: float = 0.0
     d_dot_max: float = 0.0
-    # which rate divides the disturbance term in the ultimate bound;
-    # the printed bound uses the N-law rate
-    mu_rate: str = "gamma2"
 
     def __post_init__(self):
         if min(self.gamma1, self.gamma2, self.gamma3) <= 0.0:
@@ -73,37 +50,6 @@ class AdaptationConfig:
         object.__setattr__(self, "P", P)
         if not is_positive_definite(P):
             raise ValueError("adaptation weight P must be positive definite")
-        if self.mu_rate not in ("gamma1", "gamma2", "gamma3"):
-            raise ValueError(f"unknown mu_rate {self.mu_rate!r}")
-
-
-def reconfigure(s: AdaptiveState, x_tilde: np.ndarray, u: float) -> float:
-    """Faulty-plant input u_f = M . x_tilde + N u - d_hat."""
-    return float(np.dot(s.M, x_tilde)) + s.N * u - s.d_hat
-
-
-def adapt_deriv(cfg: AdaptationConfig, core: LinearCore, nl: NonlinearPair,
-                t: float, x_f: np.ndarray, x_tilde: np.ndarray,
-                u: float) -> tuple[np.ndarray, float, float]:
-    """Time derivatives (M', N', d_hat') of the adjustable parameters."""
-    g = exprlang.evaluate(nl.g, t, x_f)
-    s = g * float(core.b @ (cfg.P @ x_tilde))
-    dM = -cfg.gamma1 * s * x_tilde
-    dN = -cfg.gamma2 * s * u
-    dd_hat = cfg.gamma3 * s
-    return dM, dN, dd_hat
-
-
-def ideal_feedforward(nl: NonlinearPair, t: float, x_f: np.ndarray) -> float:
-    """Input that cancels the drift: u* = -f(x_f)/g(x_f).
-
-    Diagnostic only; the control path never uses it.
-    """
-    g = exprlang.evaluate(nl.g, t, x_f)
-    if abs(g) < nl.g_min:
-        raise InputGainTooSmall(
-            f"|g|={abs(g):.3e} below floor {nl.g_min:.3e} at t={t!r}")
-    return -exprlang.evaluate(nl.f, t, x_f) / g
 
 
 def uub_radius(cfg: AdaptationConfig, core: LinearCore, gains: NominalGains,
@@ -111,8 +57,8 @@ def uub_radius(cfg: AdaptationConfig, core: LinearCore, gains: NominalGains,
     """Ultimate-bound radius for ||x_tilde||.
 
     beta collects the worst-case forcing of the difference system by the
-    nominal loop, mu the disturbance-rate term; the radius is the larger
-    root of theta r^2 - beta r + mu = 0:
+    nominal loop, mu the disturbance-rate term over the N-law rate gamma2;
+    the radius is the larger root of theta r^2 - beta r + mu = 0:
 
         radius = (beta + sqrt(beta^2 - 4 theta mu)) / (2 theta)
 
@@ -124,7 +70,7 @@ def uub_radius(cfg: AdaptationConfig, core: LinearCore, gains: NominalGains,
     # operator norm of the rank-1 matrix (P b) k_x^T
     norm_Pbkx = norm_Pb * float(np.linalg.norm(gains.k_x))
     beta = norm_Pb * abs(gains.k_r) * r_bound + norm_Pbkx * x_hat_bound
-    mu = cfg.d_tilde_max * cfg.d_dot_max / getattr(cfg, cfg.mu_rate)
+    mu = cfg.d_tilde_max * cfg.d_dot_max / cfg.gamma2
     theta = cfg.theta_design
     disc = max(beta * beta - 4.0 * theta * mu, 0.0)
     return (beta + float(np.sqrt(disc))) / (2.0 * theta)

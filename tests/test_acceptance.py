@@ -17,6 +17,7 @@ from ftcsim import cli, scenario_io, verify
 from ftcsim.faults import FaultSchedule
 from ftcsim.numerics import rk4_step
 
+from closed_loop import schedule_at
 from test_exprlang import CORPUS, MALFORMED
 
 
@@ -171,9 +172,8 @@ def test_criterion_09_difference_system_consistency(timed_runs):
     h = s.h
     t = tr.t
 
-    theta = np.array([F.effective_theta(s.schedule, float(tk)) for tk in t])
-    d_f = np.array([F.additive_fault(s.schedule, float(tk)) for tk in t])
-    d = np.array([F.external_disturbance(s.schedule, float(tk)) for tk in t])
+    theta, d_f, d = np.array([schedule_at(s.schedule, float(tk))
+                              for tk in t]).T
     g_f = np.array([F.evaluate(s.nl.g, float(tk), tr.x_f[k])
                     for k, tk in enumerate(t)])
     f_f = np.array([F.evaluate(s.nl.f, float(tk), tr.x_f[k])

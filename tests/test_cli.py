@@ -100,12 +100,29 @@ class TestRun:
                          str(short_scenario), "-o", str(tmp_path / "b")])
         assert code == cli.EXIT_IO
 
-    def test_multiple_scenarios_with_jobs(self, short_scenario, tmp_path):
+    def test_rejected_override_is_parse_error(self, short_scenario,
+                                              tmp_path, capsys):
+        code = cli.main(["run", str(short_scenario), "--eps-band", "-1",
+                         "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{short_scenario}: error: eps_band must be positive" in err
+
+    def test_matching_violation_is_numerical_abort(self, tmp_path, capsys):
+        text = default_scenario_text().replace(
+            "A_d = 0 1 0 ; 0 0 1 ; -1 -2 -4",
+            "A_d = -1 1 0 ; 0 -1 1 ; -1 -2 -4")
+        p = tmp_path / "bad_match.scn"
+        p.write_text(text)
+        assert cli.main(["run", str(p), "-o", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+        assert f"{p}: numerical abort: model matching fails" in capsys.readouterr().err
+
+    def test_multiple_scenarios_in_subdirs(self, short_scenario, tmp_path):
         other = tmp_path / "other.scn"
         other.write_text(short_scenario.read_text())
         out = tmp_path / "batch"
         code = cli.main(["run", str(short_scenario), str(other),
-                         "-o", str(out), "--jobs", "2"])
+                         "-o", str(out)])
         assert code == 0
         assert (out / "short" / "trace.csv").exists()
         assert (out / "other" / "trace.csv").exists()

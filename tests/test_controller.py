@@ -5,9 +5,11 @@ import pytest
 
 import ftcsim as F
 from ftcsim.controller import (InputGainTooSmall, MatchingConditionViolated,
-                               nominal_control, synthesize_gains)
+                               synthesize_gains)
 from ftcsim.numerics import rk4_step
 from ftcsim.plant import NonlinearPair
+
+from closed_loop import pack, rhs_for, scalar_decay_scenario
 
 
 class TestSynthesizeGains:
@@ -32,24 +34,27 @@ class TestSynthesizeGains:
 
 
 class TestNominalControl:
-    def test_step_reference_at_origin(self, stock_gains, nl):
-        u = nominal_control(stock_gains, nl, 0.0, np.zeros(3), 1.0)
+    """u = (1/g)(-f + k_r r + k_x . x_hat), as the engine's closed loop
+    (engine._CompiledRhs) computes it."""
+
+    def test_step_reference_at_origin(self, stock):
+        _, u, _ = rhs_for(stock, r_signal="1").full(0.0, pack(np.zeros(3)))
         assert u == 0.25
 
-    def test_rest_is_zero(self, stock_gains, nl):
-        assert nominal_control(stock_gains, nl, 0.0, np.zeros(3), 0.0) == 0.0
+    def test_rest_is_zero(self, stock):
+        _, u, _ = rhs_for(stock, r_signal="0").full(0.0, pack(np.zeros(3)))
+        assert u == 0.0
 
-    def test_drift_cancellation_value(self, stock_gains, nl):
-        x = np.array([0.0, 0.0, math.pi / 2])
-        u = nominal_control(stock_gains, nl, 0.0, x, 0.0)
+    def test_drift_cancellation_value(self, stock):
+        z = pack([0.0, 0.0, math.pi / 2])
+        _, u, _ = rhs_for(stock, r_signal="0").full(0.0, z)
         assert u == pytest.approx(-(0.05 + math.pi / 2) / 4.0, rel=1e-14)
 
-    def test_gain_floor_enforced(self, stock_gains):
+    def test_gain_floor_enforced(self):
         nl = NonlinearPair(f=F.parse("0", 1), g=F.parse("1 - x1", 1))
-        gains = synthesize_gains(np.array([[-1.0]]), np.array([1.0]),
-                                 np.array([[-1.0]]), np.array([1.0]))
+        rhs = rhs_for(scalar_decay_scenario(), nl=nl)
         with pytest.raises(InputGainTooSmall):
-            nominal_control(gains, nl, 0.0, np.array([1.0]), 0.0)
+            rhs.full(0.0, pack([1.0]))
 
 
 class TestClosedLoopLinearization:

@@ -5,30 +5,15 @@ import numpy as np
 import pytest
 
 import ftcsim as F
-from ftcsim import controller, engine, plant
+from ftcsim import engine
 from ftcsim.controller import InputGainTooSmall
 from ftcsim.exprlang import DomainError, parse
 from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness)
 from ftcsim.numerics import NonFiniteDerivative
-from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
+from ftcsim.plant import LinearCore, NonlinearPair, ReferenceModel
 
-
-def scalar_decay_scenario(**kw):
-    """x' = -x with unit gain and no drift; closed form is exp(-t)."""
-    core = LinearCore(A=[[-1.0]], b=[1.0], C=[[1.0]])
-    nl = NonlinearPair(f=F.parse("0", 1), g=F.parse("1", 1))
-    ref = ReferenceModel(A_d=[[-1.0]], B_d=[1.0])
-    cfg = F.AdaptationConfig(gamma1=1, gamma2=1, gamma3=1, P=np.eye(1),
-                             theta_design=0.5)
-    base = dict(core=core, nl=nl, ref=ref,
-                channel=DisturbanceChannel(mode="matched", scale=0.0),
-                adaptation=cfg, schedule=FaultSchedule(),
-                r_signal=F.parse("0", 0), x_hat0=np.array([1.0]),
-                x_f0=np.array([1.0]), x_d0=np.array([0.0]),
-                t_end=5.0, h=1e-3, mode="nominal_only")
-    base.update(kw)
-    return F.Scenario(**base)
+from closed_loop import scalar_decay_scenario, schedule_at
 
 
 class TestRunBasics:
@@ -83,15 +68,14 @@ def numpy_rk4_run(s):
     """The engine loop as it was on numpy arrays: a recording call plus four
     RK4 stages per step, each stage state built as an array expression."""
     n = s.core.n
-    rhs = engine._CompiledRhs(s, controller.gains_for(s.core, s.ref))
+    rhs = engine._CompiledRhs(s)
 
     def deriv(t, z):
         return np.asarray(rhs.full(t, z.tolist())[0], dtype=float)
 
     steps, h = s.n_steps, s.h
     x_f0 = s.x_hat0 if s.mode == "nominal_only" else s.x_f0
-    z = np.concatenate([s.x_d0, s.x_hat0, x_f0,
-                        F.AdaptiveState.transparent(n).pack()])
+    z = np.concatenate([s.x_d0, s.x_hat0, x_f0, np.zeros(n), [1.0, 0.0]])
     Z = np.empty((steps + 1, 4 * n + 2))
     U = np.empty(steps + 1)
     UF = np.empty(steps + 1)
@@ -155,6 +139,7 @@ class TestDifferenceSystemConsistency:
                                 x_f0=np.array([0.1, 0.0, -0.1]))
         tr = F.run(s)
         h = s.h
+        A, b = s.core.A, s.core.b
         worst = 0.0
         for k in range(1, len(tr.t) - 1):
             t = float(tr.t[k])
@@ -162,15 +147,17 @@ class TestDifferenceSystemConsistency:
             if abs(t - 1.0) <= 2 * h:
                 continue
             fd = (tr.x_tilde[k + 1] - tr.x_tilde[k - 1]) / (2 * h)
-            theta = F.effective_theta(s.schedule, t)
-            d_f = F.additive_fault(s.schedule, t)
-            d = F.external_disturbance(s.schedule, t)
-            rhs = (plant.faulty_deriv(s.core, s.nl, t, tr.x_f[k],
-                                      float(tr.u_f[k]), theta, d_f, d,
-                                      s.channel)
-                   - plant.nominal_deriv(s.core, s.nl, t, tr.x_hat[k],
-                                         float(tr.u[k])))
-            worst = max(worst, float(np.max(np.abs(fd - rhs))))
+            # the difference dynamics rebuilt in numpy from recorded
+            # signals, independently of the engine's right-hand side
+            theta, d_f, d = schedule_at(s.schedule, t)
+            x_f, x_hat = tr.x_f[k], tr.x_hat[k]
+            g_f = F.evaluate(s.nl.g, t, x_f)
+            faulty = A @ x_f + b * (F.evaluate(s.nl.f, t, x_f)
+                                    + theta * g_f * (tr.u_f[k] + d_f)
+                                    + s.channel.scale * g_f * d)
+            nominal = A @ x_hat + b * (F.evaluate(s.nl.f, t, x_hat)
+                                       + F.evaluate(s.nl.g, t, x_hat) * tr.u[k])
+            worst = max(worst, float(np.max(np.abs(fd - (faulty - nominal)))))
         assert worst <= 1e-4
 
 

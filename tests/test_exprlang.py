@@ -75,6 +75,24 @@ CORPUS = [
     ("1 + 2*3 - 4/8 + 2^3", 0.0, (0, 0, 0), 14.5),
 ]
 
+# input evaluated at t = 2 -> the DomainError message; operands are
+# evaluated left to right, so the left one's violation is reported first
+DOMAIN_ERRORS = {
+    "log(-1)": "log of non-positive value -1.0",
+    "log(0)": "log of non-positive value 0.0",
+    "sqrt(-4)": "sqrt of negative value -4.0",
+    "1/(t-2)": "division by zero",
+    "(-2)^0.5": "negative base -2.0 with fractional exponent",
+    "0^-1": "zero base with negative exponent",
+    "exp(1000)": "math range error",
+    "2^10000": "math range error",
+    "1e300*1e300": "result is not finite",
+    "1e308+1e308": "result is not finite",
+    "-1e308-1e308": "result is not finite",
+    "log(-1)/sqrt(-1)": "log of non-positive value -1.0",
+    "log(-1)/0": "log of non-positive value -1.0",
+}
+
 # malformed input -> (byte offset of the offending token, error class)
 MALFORMED = [
     ("2 +", 3, ExprSyntaxError),
@@ -123,26 +141,28 @@ class TestEval:
 
     @pytest.mark.parametrize("src,t,x,expected", CORPUS)
     def test_compiled_matches_tree_walker(self, src, t, x, expected):
-        e = parse(src, 3)
-        assert compile_expr(e)(t, list(x)) == evaluate(e, t, x)
+        # the compiled closure, called on a list the way the engine calls
+        # it, against the frozen corpus values
+        got = compile_expr(parse(src, 3))(t, list(x))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_closure_built_once_per_expression(self):
+        e = parse("0.5*sin(t)+4", 3)
+        assert compile_expr(e) is compile_expr(e)
 
     def test_step_right_continuous(self):
         e = parse("step(t-15)", 0)
         assert evaluate(e, 14.999, []) == 0.0
         assert evaluate(e, 15.0, []) == 1.0
 
-    @pytest.mark.parametrize("src", [
-        "log(-1)", "log(0)", "sqrt(-4)", "1/(t-2)", "(-2)^0.5", "0^-1",
-        "exp(1000)", "2^10000", "1e300*1e300", "1e308+1e308", "-1e308-1e308",
-    ])
+    @pytest.mark.parametrize("src", list(DOMAIN_ERRORS))
     def test_domain_errors_reported(self, src):
         e = parse(src, 0)
-        with pytest.raises(DomainError) as walked:
-            evaluate(e, 2.0, [])
-        with pytest.raises(DomainError) as compiled:
-            compile_expr(e)(2.0, [])
-        assert type(compiled.value) is type(walked.value)
-        assert str(compiled.value) == str(walked.value)
+        for fn in (lambda: evaluate(e, 2.0, []),
+                   lambda: compile_expr(e)(2.0, [])):
+            with pytest.raises(DomainError) as exc_info:
+                fn()
+            assert str(exc_info.value) == DOMAIN_ERRORS[src]
 
     def test_dimension_mismatch_rejected(self):
         e = parse("x1", 1)

@@ -4,70 +4,84 @@ import pytest
 import ftcsim as F
 from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness, ScheduleError,
-                           additive_fault, check_grid_alignment,
-                           effective_theta, external_disturbance)
+                           check_grid_alignment)
+
+from closed_loop import rhs_for
+
+
+# The schedule is evaluated where the engine evaluates it: theta_at and
+# signal_sum of engine._CompiledRhs.
 
 
 @pytest.fixture
-def stock_schedule(stock):
-    return stock.schedule
+def stock_rhs(stock):
+    return rhs_for(stock)
 
 
 class TestEffectiveTheta:
-    def test_before_fault(self, stock_schedule):
-        assert effective_theta(stock_schedule, 14.999) == 1.0
+    def test_before_fault(self, stock_rhs):
+        assert stock_rhs.theta_at(14.999) == 1.0
 
-    def test_at_fault_instant(self, stock_schedule):
-        assert effective_theta(stock_schedule, 15.0) == 0.65
+    def test_at_fault_instant(self, stock_rhs):
+        assert stock_rhs.theta_at(15.0) == 0.65
 
-    def test_empty_schedule(self):
-        assert effective_theta(FaultSchedule(), 123.0) == 1.0
+    def test_empty_schedule(self, stock):
+        assert rhs_for(stock, events=()).theta_at(123.0) == 1.0
 
-    def test_later_event_overrides(self):
-        sched = FaultSchedule((LossOfEffectiveness(at=5.0, theta=0.9),
-                               LossOfEffectiveness(at=10.0, theta=0.4)))
-        assert effective_theta(sched, 7.0) == 0.9
-        assert effective_theta(sched, 10.0) == 0.4
+    def test_later_event_overrides(self, stock):
+        rhs = rhs_for(stock, events=(LossOfEffectiveness(at=5.0, theta=0.9),
+                                     LossOfEffectiveness(at=10.0, theta=0.4)))
+        assert rhs.theta_at(7.0) == 0.9
+        assert rhs.theta_at(10.0) == 0.4
 
-    def test_right_continuity(self, stock_schedule):
-        for ev in stock_schedule.events:
+    def test_right_continuity(self, stock, stock_rhs):
+        for ev in stock.schedule.events:
             a = ev.at
-            before = effective_theta(stock_schedule, a - 1e-9)
-            at = effective_theta(stock_schedule, a)
-            just_after = effective_theta(stock_schedule, a + 1e-9)
+            before = stock_rhs.theta_at(a - 1e-9)
+            at = stock_rhs.theta_at(a)
+            just_after = stock_rhs.theta_at(a + 1e-9)
             assert at == just_after
             if isinstance(ev, LossOfEffectiveness):
                 assert before != at
+                continue
+            # a signal is already in the sum at its trigger instant
+            signals = (stock_rhs.additive if isinstance(ev, AdditiveActuator)
+                       else stock_rhs.disturb)
+            jump = (stock_rhs.signal_sum(signals, a)
+                    - stock_rhs.signal_sum(signals, a - 1e-9))
+            assert jump == pytest.approx(F.evaluate(ev.signal, a), abs=1e-8)
 
 
 class TestSignals:
-    def test_additive_before_trigger(self, stock_schedule):
-        assert additive_fault(stock_schedule, 24.9) == 0.0
+    def test_additive_before_trigger(self, stock_rhs):
+        assert stock_rhs.signal_sum(stock_rhs.additive, 24.9) == 0.0
 
-    def test_additive_at_trigger(self, stock_schedule):
+    def test_additive_at_trigger(self, stock_rhs):
         # 0.5*sin(2t) evaluated at t = 25
-        assert additive_fault(stock_schedule, 25.0) == pytest.approx(
+        assert stock_rhs.signal_sum(stock_rhs.additive, 25.0) == pytest.approx(
             -0.13118742685196438, rel=1e-15)
 
-    def test_additive_empty(self):
-        assert additive_fault(FaultSchedule(), 30.0) == 0.0
+    def test_additive_empty(self, stock):
+        rhs = rhs_for(stock, events=())
+        assert rhs.signal_sum(rhs.additive, 30.0) == 0.0
 
-    def test_disturbance_before_trigger(self, stock_schedule):
-        assert external_disturbance(stock_schedule, 19.9) == 0.0
+    def test_disturbance_before_trigger(self, stock_rhs):
+        assert stock_rhs.signal_sum(stock_rhs.disturb, 19.9) == 0.0
 
-    def test_disturbance_at_trigger(self, stock_schedule):
-        assert external_disturbance(stock_schedule, 20.0) == 1.0
+    def test_disturbance_at_trigger(self, stock_rhs):
+        assert stock_rhs.signal_sum(stock_rhs.disturb, 20.0) == 1.0
 
-    def test_disturbance_empty(self):
-        assert external_disturbance(FaultSchedule(), 5.0) == 0.0
+    def test_disturbance_empty(self, stock):
+        rhs = rhs_for(stock, events=())
+        assert rhs.signal_sum(rhs.disturb, 5.0) == 0.0
 
-    def test_multiple_signals_sum(self):
-        sched = FaultSchedule((
+    def test_multiple_signals_sum(self, stock):
+        rhs = rhs_for(stock, events=(
             AdditiveActuator(at=1.0, signal=F.parse("2", 0)),
             AdditiveActuator(at=3.0, signal=F.parse("t", 0)),
         ))
-        assert additive_fault(sched, 2.0) == 2.0
-        assert additive_fault(sched, 4.0) == 6.0
+        assert rhs.signal_sum(rhs.additive, 2.0) == 2.0
+        assert rhs.signal_sum(rhs.additive, 4.0) == 6.0
 
 
 class TestValidation:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ftcsim import numerics
-from ftcsim.numerics import (NoConvergence, NonFiniteDerivative, NotSymmetric,
-                             SingularSystem, ZeroColumn, eig_symmetric,
-                             is_positive_definite, left_pinv_col, rk4_step,
-                             solve_lyapunov)
+from ftcsim.numerics import (NonFiniteDerivative, NotSymmetric, SingularSystem,
+                             ZeroColumn, eig_symmetric, is_positive_definite,
+                             left_pinv_col, rk4_step, solve_lyapunov)
 
 
 # --- independent oracle: rebuild and solve the vectorized Lyapunov system
@@ -193,13 +192,23 @@ class TestEigSymmetric:
         expected = sorted([1.0, (1 - math.sqrt(11)) / 2, (1 + math.sqrt(11)) / 2])
         assert eig_symmetric(Q1) == pytest.approx(expected, abs=1e-10)
 
-    def test_against_lapack_on_random(self):
+    def test_trace_and_determinant_on_random(self):
+        # the eigenvalues sum to the trace and multiply to the determinant
+        # (an LU product, independent of the eigensolver)
         rng = np.random.RandomState(3)
         for _ in range(30):
             n = rng.randint(2, 7)
             M = rng.standard_normal((n, n))
             M = 0.5 * (M + M.T)
-            assert eig_symmetric(M) == pytest.approx(np.linalg.eigvalsh(M), abs=1e-9)
+            ev = eig_symmetric(M)
+            assert np.all(np.diff(ev) >= 0.0)
+            assert abs(ev.sum() - np.trace(M)) <= 1e-9 * np.abs(ev).sum()
+            det = np.linalg.det(M)
+            assert abs(np.prod(ev) - det) <= 1e-9 * abs(det)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(NotSymmetric):
+            eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestLeftPinvCol:
@@ -224,12 +233,3 @@ class TestLeftPinvCol:
         with pytest.raises(ZeroColumn):
             left_pinv_col([0.0, 0.0, 0.0])
 
-
-def test_jacobi_no_convergence_budget():
-    # 100 sweeps is plenty for any small symmetric matrix; a single sweep
-    # budget on a dense matrix is not
-    M = np.random.RandomState(1).standard_normal((6, 6))
-    M = 0.5 * (M + M.T)
-    with pytest.raises(NoConvergence):
-        eig_symmetric(M, max_sweeps=0)
-    eig_symmetric(M)  # default budget converges

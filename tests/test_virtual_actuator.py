@@ -1,15 +1,13 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ftcsim as F
-from ftcsim.controller import InputGainTooSmall
 from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
-from ftcsim.virtual_actuator import (AdaptationConfig, AdaptiveState,
-                                     adapt_deriv, ideal_feedforward,
-                                     reconfigure, uub_radius)
+from ftcsim.virtual_actuator import AdaptationConfig, uub_radius
+
+from closed_loop import pack, rhs_for, split
 
 
 def make_config(p2, **kw):
@@ -19,80 +17,85 @@ def make_config(p2, **kw):
     return AdaptationConfig(**defaults)
 
 
+# The reconfiguration block and its update laws are checked on the
+# engine's closed loop (engine._CompiledRhs) at hand-built states z. With
+# x_hat = 0 and f(0) = 0 the control law gives u = k_r r / g = r / 4, so
+# each case picks r to get the nominal input it needs.
+
+
+def u_f_at(stock, x_tilde, u, **va):
+    rhs = rhs_for(stock, r_signal=repr(4.0 * u), mode="faulty_with_va")
+    _, u_nom, u_f = rhs.full(0.0, pack(np.zeros(3), x_f=x_tilde, **va))
+    assert u_nom == u
+    return u_f
+
+
 class TestReconfigure:
-    def test_identity_passthrough(self):
-        s = AdaptiveState.transparent(3)
+    def test_identity_passthrough(self, stock):
         for u in (-2.0, 0.0, 9.0):
-            assert reconfigure(s, np.array([1.0, -4.0, 2.0]), u) == u
+            assert u_f_at(stock, [1.0, -4.0, 2.0], u) == u
 
-    def test_state_projection(self):
-        s = AdaptiveState(M=np.array([1.0, 0.0, 0.0]), N=0.0, d_hat=0.0)
-        assert reconfigure(s, np.array([2.0, 5.0, 7.0]), 9.0) == 2.0
+    def test_state_projection(self, stock):
+        got = u_f_at(stock, [2.0, 5.0, 7.0], 9.0, M=[1.0, 0.0, 0.0], N=0.0)
+        assert got == 2.0
 
-    def test_combined(self):
-        s = AdaptiveState(M=np.array([0.0, 0.0, -1.0]), N=0.5, d_hat=0.1)
-        got = reconfigure(s, np.array([0.0, 0.0, 2.0]), 4.0)
+    def test_combined(self, stock):
+        got = u_f_at(stock, [0.0, 0.0, 2.0], 4.0, M=[0.0, 0.0, -1.0],
+                     N=0.5, d_hat=0.1)
         assert got == pytest.approx(-0.1, abs=1e-15)
 
-    def test_affine_superposition(self):
+    def test_affine_superposition(self, stock):
+        # u_f + d_hat is linear in (x_tilde, u); r = t with a constant
+        # gain g = 4 gives u = t / 4
+        nl = NonlinearPair(f=stock.nl.f, g=F.parse("4", 3))
+        rhs = rhs_for(stock, nl=nl, r_signal="t", events=(),
+                      mode="faulty_with_va")
         rng = np.random.RandomState(8)
-        s = AdaptiveState(M=rng.standard_normal(3), N=0.7, d_hat=-0.4)
+        M, N, d_hat = rng.standard_normal(3), 0.7, -0.4
+
+        def shifted(x_tilde, u):
+            z = pack(np.zeros(3), x_f=x_tilde, M=M, N=N, d_hat=d_hat)
+            return rhs.full(4.0 * u, z)[2] + d_hat
+
         for _ in range(20):
             xa, xb = rng.standard_normal(3), rng.standard_normal(3)
             ua, ub = rng.standard_normal(2)
-            lhs = reconfigure(s, xa + xb, ua + ub) + s.d_hat
-            rhs = (reconfigure(s, xa, ua) + s.d_hat) + (reconfigure(s, xb, ub) + s.d_hat)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_pack_unpack_roundtrip(self):
-        s = AdaptiveState(M=np.array([0.5, -1.0, 2.0]), N=1.5, d_hat=-0.25)
-        back = AdaptiveState.unpack(s.pack(), 3)
-        assert np.array_equal(back.M, s.M)
-        assert back.N == s.N and back.d_hat == s.d_hat
+            lhs = shifted(xa + xb, ua + ub)
+            rhs_sum = shifted(xa, ua) + shifted(xb, ub)
+            assert lhs == pytest.approx(rhs_sum, rel=1e-12, abs=1e-12)
 
 
 class TestAdaptDeriv:
-    def test_zero_difference_freezes_all_laws(self, core, nl, p2):
-        cfg = make_config(p2)
+    def test_zero_difference_freezes_all_laws(self, stock):
+        rhs = rhs_for(stock, mode="faulty_with_va")
         rng = np.random.RandomState(12)
         for _ in range(20):
-            x_f = rng.standard_normal(3)
-            u = float(rng.standard_normal())
-            dM, dN, dd = adapt_deriv(cfg, core, nl, 1.0, x_f, np.zeros(3), u)
-            assert np.array_equal(dM, np.zeros(3)) and dN == 0.0 and dd == 0.0
+            z = pack(rng.standard_normal(3), M=rng.standard_normal(3),
+                     N=float(rng.standard_normal()))
+            parts = split(rhs.full(1.0, z)[0], 3)
+            assert np.array_equal(parts["M"], np.zeros(3))
+            assert parts["N"] == 0.0 and parts["d_hat"] == 0.0
 
-    def test_stock_values(self, core, nl, p2):
-        cfg = make_config(p2)
-        dM, dN, dd = adapt_deriv(cfg, core, nl, 0.0, np.zeros(3),
-                                 np.array([0.0, 0.0, 1.0]), 1.0)
+    def test_stock_values(self, stock, p2):
+        # stock rates 20 / 200 / 1000 and weight p2; r = 4 gives u = 1
+        assert np.array_equal(stock.adaptation.P, p2)
+        rhs = rhs_for(stock, r_signal="4", mode="faulty_with_va")
+        parts = split(rhs.full(0.0, pack(np.zeros(3), x_f=[0.0, 0.0, 1.0]))[0], 3)
         # b^T p2 x_tilde = 1.1, g(0) = 4, so the shared scalar is 4.4
-        assert dM == pytest.approx([0.0, 0.0, -88.0], rel=1e-12)
-        assert dN == pytest.approx(-880.0, rel=1e-12)
-        assert dd == pytest.approx(4400.0, rel=1e-12)
+        assert parts["M"] == pytest.approx([0.0, 0.0, -88.0], rel=1e-12)
+        assert parts["N"] == pytest.approx(-880.0, rel=1e-12)
+        assert parts["d_hat"] == pytest.approx(4400.0, rel=1e-12)
 
-    def test_rate_proportionality(self, core, nl, p2):
+    def test_rate_proportionality(self, stock, p2):
         # each law scales linearly with its own rate
-        x_t = np.array([0.3, -0.2, 0.9])
         x_f = np.array([1.0, 0.0, -1.0])
-        full = adapt_deriv(make_config(p2), core, nl, 2.0, x_f, x_t, 0.7)
-        half = adapt_deriv(make_config(p2, gamma3=500.0), core, nl, 2.0, x_f, x_t, 0.7)
-        assert half[2] == pytest.approx(0.5 * full[2], rel=1e-12)
-        assert np.array_equal(half[0], full[0]) and half[1] == full[1]
-
-
-class TestIdealFeedforward:
-    def test_zero_drift(self, nl, core):
-        nl0 = NonlinearPair(f=F.parse("0", 3), g=F.parse("2", 3))
-        assert ideal_feedforward(nl0, 0.0, np.zeros(3)) == 0.0
-
-    def test_stock_value(self, nl):
-        got = ideal_feedforward(nl, 0.0, np.array([0.0, 0.0, math.pi / 2]))
-        assert got == pytest.approx(-0.0125, rel=1e-12)
-
-    def test_gain_floor(self):
-        nl = NonlinearPair(f=F.parse("1", 1), g=F.parse("1 - x1", 1))
-        with pytest.raises(InputGainTooSmall):
-            ideal_feedforward(nl, 0.0, np.array([1.0]))
+        z = pack(x_f - np.array([0.3, -0.2, 0.9]), x_f=x_f)
+        full = split(rhs_for(stock, adaptation=make_config(p2),
+                             mode="faulty_with_va").full(2.0, z)[0], 3)
+        half = split(rhs_for(stock, adaptation=make_config(p2, gamma3=500.0),
+                             mode="faulty_with_va").full(2.0, z)[0], 3)
+        assert half["d_hat"] == pytest.approx(0.5 * full["d_hat"], rel=1e-12)
+        assert np.array_equal(half["M"], full["M"]) and half["N"] == full["N"]
 
 
 class TestUubRadius:
