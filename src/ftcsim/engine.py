@@ -77,13 +77,14 @@ class Scenario:
             raise ValueError("disturbance column E must have dimension n")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.t_end <= 0.0 or self.h <= 0.0:
-            raise ValueError("t_end and h must be positive")
+        # written so that NaN fails too
+        if not (0.0 < self.t_end < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError("t_end and h must be positive and finite")
         ratio = self.t_end / self.h
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError("t_end must be an integer multiple of h")
-        if self.eps_band <= 0.0:
-            raise ValueError("eps_band must be positive")
+        if not 0.0 < self.eps_band < math.inf:
+            raise ValueError("eps_band must be positive and finite")
         faults.check_grid_alignment(self.schedule, self.h)
 
     @property
@@ -147,154 +148,119 @@ class _CompiledRhs:
         M'     = -gamma1 s x_tilde,  N' = -gamma2 s u,  d_hat' = gamma3 s
 
     with x_tilde = x_f - x_hat and s = g(x_f) b^T P x_tilde. E is the
-    constant column, or scale b g(x_f) for a matched channel; theta, d_f
-    and d come from the fault schedule at t (theta_at, signal_sum).
+    constant column, or scale b g(x_f) for a matched channel. theta is
+    that of the latest loss event with at <= t (1 before any), d_f and d
+    the sums of the additive and disturbance signals with at <= t.
     nominal_only copies x_hat' into x_f'; the adaptive parameters move
-    only in faulty_with_va.
+    only in faulty_with_va. |g(x_hat)| below g_min raises
+    InputGainTooSmall.
 
-    numpy's per-call overhead dominates at n ~ 3, so the hot loop runs on
-    Python floats with precompiled expression closures: z and the
-    derivative are lists, and rk4_step combines the stages on lists too.
+    At n ~ 3 interpreter overhead, not arithmetic, dominates, so these
+    equations are generated once per scenario as one straight-line Python
+    function over floats: z is unpacked into locals, the matrix products
+    are unrolled with the model's numbers as constants, and f, g, r and
+    the fault signals are inlined through exprlang.Codegen. Every product
+    and sum is kept, in the order of a plain loop with 0.0-seeded
+    accumulators, so the results are bit-identical to it (signed zeros
+    included). `full(t, z)` returns (z', u, u_f), `deriv(t, z)` only z';
+    `source` holds the generated code, which tracebacks show.
     """
 
     def __init__(self, s: Scenario):
-        gains = s.gains
-        self.n = n = s.core.n
-        self.mode = s.mode
-        self.A = [[float(v) for v in row] for row in s.core.A]
-        self.b = [float(v) for v in s.core.b]
-        self.A_d = [[float(v) for v in row] for row in s.ref.A_d]
-        self.B_d = [float(v) for v in s.ref.B_d]
-        self.k_x = [float(v) for v in gains.k_x]
-        self.k_r = float(gains.k_r)
-        self.f = exprlang.compile_expr(s.nl.f)
-        self.g = exprlang.compile_expr(s.nl.g)
-        self.r = exprlang.compile_expr(s.r_signal)
-        self.g_min = s.nl.g_min
-        self.loss = [(e.at, e.theta) for e in s.schedule.events
-                     if isinstance(e, LossOfEffectiveness)]
-        self.additive = [(e.at, exprlang.compile_expr(e.signal))
-                         for e in s.schedule.events
-                         if isinstance(e, AdditiveActuator)]
-        self.disturb = [(e.at, exprlang.compile_expr(e.signal))
-                        for e in s.schedule.events
-                        if isinstance(e, ExternalDisturbance)]
-        self.matched = s.channel.mode == "matched"
-        self.scale = float(s.channel.scale) if self.matched else 0.0
-        self.E = None if self.matched else [float(v) for v in s.channel.E]
-        cfg = s.adaptation
-        self.gamma1, self.gamma2, self.gamma3 = cfg.gamma1, cfg.gamma2, cfg.gamma3
-        self.P = [[float(v) for v in row] for row in cfg.P]
+        gen = exprlang.Codegen()
+        gen.namespace["_InputGainTooSmall"] = InputGainTooSmall
+        lines, z_dot = _rhs_lines(s, gen)
+        body = "".join(f"    {line}\n" for line in lines)
+        self.source = (f"def full(t, z):\n{body}    return {z_dot}, u, u_f\n\n"
+                       f"def deriv(t, z):\n{body}    return {z_dot}\n")
+        ns = gen.define(self.source, "rhs")
+        self.full = ns["full"]
+        self.deriv = ns["deriv"]
 
-    def theta_at(self, t: float) -> float:
-        theta = 1.0
-        for at, th in self.loss:
-            if at > t:
-                break
-            theta = th
-        return theta
 
-    def signal_sum(self, entries, t: float) -> float:
-        total = 0.0
-        for at, fn in entries:
-            if at <= t:
-                total += fn(t, ())
-        return total
+def _rhs_lines(s: Scenario, gen: exprlang.Codegen) -> tuple[list[str], str]:
+    """Body of the generated right-hand side of s (see _CompiledRhs), ending
+    with u and u_f assigned, and the source of the z' list it returns."""
+    n = s.core.n
+    c = gen.const
+    A, b = s.core.A, s.core.b
+    x_d, x_hat, x_f, M, x_t = ([f"{stem}{i}" for i in range(n)]
+                               for stem in ("x_d", "x_hat", "x_f", "M", "x_t"))
+    lines = [f"{', '.join(x_d + x_hat + x_f + M)}, N, d_hat = z"]
 
-    def full(self, t: float, z: list[float]) -> tuple[list, float, float]:
-        """Derivative of z plus the inputs (u, u_f) in effect at t."""
-        n = self.n
-        x_d = z[0:n]
-        x_hat = z[n:2 * n]
+    def inline(expr: Expr, state: list[str], name: str, out=lines) -> None:
+        result = gen.expr(expr.node, "t", lambda k: state[k - 1], out)
+        out.append(f"{name} = {result}")
 
-        r = self.r(t, ())
-        g_hat = self.g(t, x_hat)
-        if abs(g_hat) < self.g_min:
-            raise InputGainTooSmall(
-                f"|g|={abs(g_hat):.3e} below floor {self.g_min:.3e} at t={t!r}")
-        f_hat = self.f(t, x_hat)
-        u = -f_hat + self.k_r * r
-        k_x = self.k_x
-        for i in range(n):
-            u += k_x[i] * x_hat[i]
-        u /= g_hat
+    def dot(seed: str, row, xs: list[str]) -> str:
+        """seed + row[0] * xs[0] + ..., summed left to right."""
+        return " + ".join([seed] + [f"{c(a)} * {x}" for a, x in zip(row, xs)])
 
-        out = [0.0] * (4 * n + 2)
-        for i in range(n):
-            row = self.A_d[i]
-            acc = self.B_d[i] * r
-            for j in range(n):
-                acc += row[j] * x_d[j]
-            out[i] = acc
-        c_nom = f_hat + g_hat * u
-        for i in range(n):
-            row = self.A[i]
-            acc = self.b[i] * c_nom
-            for j in range(n):
-                acc += row[j] * x_hat[j]
-            out[n + i] = acc
+    def assign(names: list[str], values: list[str]) -> None:
+        lines.extend(f"{name} = {value}" for name, value in zip(names, values))
 
-        if self.mode == MODE_NOMINAL_ONLY:
-            out[2 * n:3 * n] = out[n:2 * n]
-            return out, u, u
+    inline(s.r_signal, [], "r")
+    inline(s.nl.g, x_hat, "g_hat")
+    g_min = c(s.nl.g_min)
+    lines += [f"if abs(g_hat) < {g_min}:",
+              f"    raise _InputGainTooSmall(f'|g|={{abs(g_hat):.3e}} below "
+              f"floor {{{g_min}:.3e}} at t={{t!r}}')"]
+    inline(s.nl.f, x_hat, "f_hat")
+    gains = s.gains
+    lines.append(f"u = ({dot(f'-f_hat + {c(gains.k_r)} * r', gains.k_x, x_hat)})"
+                 " / g_hat")
+    dx_d, dx_hat, dx_f = ([f"d{x}" for x in xs] for xs in (x_d, x_hat, x_f))
+    assign(dx_d, [dot(f"{c(s.ref.B_d[i])} * r", s.ref.A_d[i], x_d)
+                  for i in range(n)])
+    lines.append("c_nom = f_hat + g_hat * u")
+    assign(dx_hat, [dot(f"{c(b[i])} * c_nom", A[i], x_hat) for i in range(n)])
 
-        x_f = z[2 * n:3 * n]
-        M = z[3 * n:4 * n]
-        N = z[4 * n]
-        d_hat = z[4 * n + 1]
-        x_t = [x_f[i] - x_hat[i] for i in range(n)]
+    zeros = ["0.0"] * n
+    if s.mode == MODE_NOMINAL_ONLY:
+        lines.append("u_f = u")
+        return lines, f"[{', '.join(dx_d + dx_hat + dx_hat + zeros)}, 0.0, 0.0]"
 
-        if self.mode == MODE_FAULTY_WITH_VA:
-            u_f = N * u - d_hat
-            for i in range(n):
-                u_f += M[i] * x_t[i]
-        else:
-            u_f = u
+    with_va = s.mode == MODE_FAULTY_WITH_VA
+    if with_va:
+        assign(x_t, [f"{xf} - {xh}" for xf, xh in zip(x_f, x_hat)])
+        lines.append(" + ".join(["u_f = N * u - d_hat"]
+                                + [f"{m} * {x}" for m, x in zip(M, x_t)]))
+    else:
+        lines.append("u_f = u")
 
-        theta = self.theta_at(t)
-        d_f = self.signal_sum(self.additive, t)
-        d = self.signal_sum(self.disturb, t)
-        f_f = self.f(t, x_f)
-        g_f = self.g(t, x_f)
-        c_f = f_f + theta * g_f * (u_f + d_f)
-        if self.matched:
-            md = self.scale * g_f * d
-            for i in range(n):
-                row = self.A[i]
-                acc = self.b[i] * c_f + self.b[i] * md
-                for j in range(n):
-                    acc += row[j] * x_f[j]
-                out[2 * n + i] = acc
-        else:
-            E = self.E
-            for i in range(n):
-                row = self.A[i]
-                acc = self.b[i] * c_f + E[i] * d
-                for j in range(n):
-                    acc += row[j] * x_f[j]
-                out[2 * n + i] = acc
+    lines.append("theta = 1.0")
+    for ev in s.schedule.events:
+        if isinstance(ev, LossOfEffectiveness):
+            lines.append(f"if not {c(ev.at)} > t: theta = {c(ev.theta)}")
+    for total, kind in (("d_f", AdditiveActuator), ("d", ExternalDisturbance)):
+        lines.append(f"{total} = 0.0")
+        for ev in s.schedule.events:
+            if isinstance(ev, kind):
+                signal: list[str] = []
+                inline(ev.signal, [], "sig", signal)
+                lines.append(f"if {c(ev.at)} <= t:")
+                lines += [f"    {line}" for line in signal]
+                lines.append(f"    {total} += sig")
+    inline(s.nl.f, x_f, "f_f")
+    inline(s.nl.g, x_f, "g_f")
+    lines.append("c_f = f_f + theta * g_f * (u_f + d_f)")
+    if s.channel.mode == "matched":
+        lines.append(f"md = {c(s.channel.scale)} * g_f * d")
+        channel = [f"{c(b[i])} * md" for i in range(n)]
+    else:
+        channel = [f"{c(e)} * d" for e in s.channel.E]
+    assign(dx_f, [dot(f"{c(b[i])} * c_f + {channel[i]}", A[i], x_f)
+                  for i in range(n)])
+    if not with_va:
+        return lines, f"[{', '.join(dx_d + dx_hat + dx_f + zeros)}, 0.0, 0.0]"
 
-        if self.mode == MODE_FAULTY_WITH_VA:
-            P = self.P
-            b = self.b
-            sgn = 0.0
-            for i in range(n):
-                acc = 0.0
-                row = P[i]
-                for j in range(n):
-                    acc += row[j] * x_t[j]
-                sgn += b[i] * acc
-            sgn *= g_f
-            g1s = -self.gamma1 * sgn
-            for i in range(n):
-                out[3 * n + i] = g1s * x_t[i]
-            out[4 * n] = -self.gamma2 * sgn * u
-            out[4 * n + 1] = self.gamma3 * sgn
-        return out, u, u_f
-
-    def __call__(self, t: float, z: list[float]) -> list[float]:
-        out, _, _ = self.full(t, z)
-        return out
+    cfg = s.adaptation
+    P_x_t = [f"({dot('0.0', row, x_t)})" for row in cfg.P]
+    lines.append(f"sgn = ({dot('0.0', b, P_x_t)}) * g_f")
+    lines.append(f"g1s = -{c(cfg.gamma1)} * sgn")
+    dM = [f"g1s * {x}" for x in x_t]
+    laws = [f"-{c(cfg.gamma2)} * sgn * u", f"{c(cfg.gamma3)} * sgn"]
+    return lines, f"[{', '.join(dx_d + dx_hat + dx_f + dM + laws)}]"
 
 
 def run(s: Scenario) -> SimTrace:
@@ -328,7 +294,7 @@ def run(s: Scenario) -> SimTrace:
             U[k] = u
             UF[k] = u_f
             if k < steps:
-                z = numerics.rk4_step(rhs, t, z, h, k1)
+                z = numerics.rk4_step(rhs.deriv, t, z, h, k1)
         except DomainError as exc:
             raise DomainError(f"{exc} (during step starting at t={t})") from exc
         except NonFiniteDerivative as exc:

@@ -13,10 +13,20 @@ Parse errors carry the byte offset of the offending token. Evaluation
 reports domain violations (log/sqrt of a negative, division by zero,
 fractional powers of a negative base, overflow to infinity) instead of
 silently returning non-finite numbers.
+
+Expressions are evaluated by generated code: Codegen writes a parsed tree
+out as straight-line Python (one assignment per node, with the domain
+checks inline) and compiles it once per Expr, and the engine inlines the
+same lines into its right-hand side. This is safe because the source is
+built from the tree, never from the scenario text: it holds only names
+made by Codegen and floats written with repr, and every callable it calls
+is bound by name from the table below.
 """
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
 import re
 from dataclasses import dataclass
@@ -361,83 +371,125 @@ def evaluate(expr: Expr, t: float, x: Sequence[float] = ()) -> float:
 
 
 def compile_expr(expr: Expr) -> Callable[[float, Sequence[float]], float]:
-    """The closure that evaluates expr: f(t, x) -> float.
+    """The function that evaluates expr: f(t, x) -> float.
 
-    Built once per Expr and shared by every caller. Unlike evaluate, the
-    closure does not check the length of x.
+    Built once per Expr and shared by every caller. Unlike evaluate, it
+    does not check the length of x.
     """
     return expr._closure
 
 
 def _compile(root: Node) -> Callable[[float, Sequence[float]], float]:
-    """Build a closure tree for root.
+    gen = Codegen()
+    lines: list[str] = []
+    result = gen.expr(root, "t", lambda i: f"float(x[{i - 1}])", lines)
+    body = "".join(f"    {line}\n" for line in lines)
+    return gen.define(f"def expr(t, x):\n{body}    return {result}\n",
+                      "expr")["expr"]
 
-    The node dispatch and the function lookup happen once, here, instead of
-    on every call, and + - * check finiteness inline, so tight simulation
-    loops stay fast. Operands are evaluated left to right, so the first
-    domain violation in source order is the one reported. No codegen or
-    eval() involved.
+
+class Codegen:
+    """Straight-line Python source for expression trees, and its compiler.
+
+    `expr` turns a tree into single-assignment lines plus the name (or
+    constant) that holds the result, so a caller can inline several
+    expressions into one generated function. The lines do exactly what a
+    walk of the tree would: operands are evaluated left to right, so the
+    first domain violation in source order is the one reported; + - *
+    check finiteness after each operation; / evaluates both operands, then
+    rejects a zero divisor, then checks finiteness; ^ goes through
+    _apply_pow and each call through its _FUNCTIONS callable.
+
+    Only names made here and finite constants written with repr (which
+    round-trips a float exactly) enter the source. Non-finite constants
+    and callables are bound by name in `namespace`, the globals of the
+    generated code. Scenario text never enters the source, so compiling it
+    cannot run anything the tree does not describe.
     """
-    isfinite = math.isfinite
 
-    def build(node: Node) -> Callable[[float, Sequence[float]], float]:
+    _files = itertools.count()
+
+    def __init__(self):
+        self.namespace: dict[str, object] = {
+            "_isfinite": math.isfinite, "_DomainError": DomainError,
+            "_apply_pow": _apply_pow,
+        }
+        self.namespace.update(
+            (f"_{name}", fn) for name, fn in _FUNCTIONS.items())
+        self._count = 0
+
+    def fresh(self, stem: str = "v") -> str:
+        self._count += 1
+        return f"{stem}{self._count}"
+
+    def const(self, value: float) -> str:
+        """Source for a float constant."""
+        value = float(value)
+        if not math.isfinite(value):
+            name = self.fresh("_c")
+            self.namespace[name] = value
+            return name
+        text = repr(value)
+        return f"({text})" if text.startswith("-") else text
+
+    def expr(self, node: Node, t: str, state: Callable[[int], str],
+             lines: list[str]) -> str:
+        """Append the lines that evaluate node; return its result's source.
+
+        t is the source of the time variable and state(k) that of x<k>. A
+        state source that is not a plain name (say ``float(x[0])``) gets
+        its own line, so it is read in tree order.
+        """
         if isinstance(node, Literal):
-            v = node.value
-            return lambda t, x: v
+            return self.const(node.value)
         if isinstance(node, TimeVar):
-            return lambda t, x: t
+            return t
         if isinstance(node, StateVar):
-            i = node.index - 1
-            return lambda t, x: float(x[i])
+            src = state(node.index)
+            if src.isidentifier():
+                return src
+            v = self.fresh()
+            lines.append(f"{v} = {src}")
+            return v
         if isinstance(node, Neg):
-            f = build(node.operand)
-            return lambda t, x: -f(t, x)
-        if isinstance(node, BinOp):
-            return build_binop(node)
+            a = self.expr(node.operand, t, state, lines)
+            v = self.fresh()
+            lines.append(f"{v} = -{a}")
+            return v
         if isinstance(node, Call):
-            fn = _FUNCTIONS[node.name]
-            if len(node.args) == 1:
-                fa = build(node.args[0])
-                return lambda t, x: fn(fa(t, x))
-            fa, fb = (build(a) for a in node.args)
-            return lambda t, x: fn(fa(t, x), fb(t, x))
-        raise AssertionError(f"unhandled node {node!r}")
+            if node.name not in _FUNCTIONS:
+                raise AssertionError(f"unknown function {node.name!r}")
+            args = ", ".join(self.expr(a, t, state, lines) for a in node.args)
+            v = self.fresh()
+            lines.append(f"{v} = _{node.name}({args})")
+            return v
+        if not isinstance(node, BinOp) or node.op not in ("+", "-", "*", "/", "^"):
+            raise AssertionError(f"unhandled node {node!r}")
+        a = self.expr(node.left, t, state, lines)
+        b = self.expr(node.right, t, state, lines)
+        v = self.fresh()
+        if node.op == "^":
+            lines.append(f"{v} = _apply_pow({a}, {b})")
+            return v
+        if node.op == "/":
+            lines.append(f"if {b} == 0.0: "
+                         "raise _DomainError('division by zero')")
+        lines.append(f"{v} = {a} {node.op} {b}")
+        lines.append(f"if not _isfinite({v}): "
+                     "raise _DomainError('result is not finite')")
+        return v
 
-    def build_binop(node: BinOp) -> Callable[[float, Sequence[float]], float]:
-        fa, fb = build(node.left), build(node.right)
-        op = node.op
-        if op == "+":
-            def add(t, x):
-                v = fa(t, x) + fb(t, x)
-                if isfinite(v):
-                    return v
-                raise DomainError("result is not finite")
-            return add
-        if op == "-":
-            def sub(t, x):
-                v = fa(t, x) - fb(t, x)
-                if isfinite(v):
-                    return v
-                raise DomainError("result is not finite")
-            return sub
-        if op == "*":
-            def mul(t, x):
-                v = fa(t, x) * fb(t, x)
-                if isfinite(v):
-                    return v
-                raise DomainError("result is not finite")
-            return mul
-        if op == "/":
-            def div(t, x):
-                a = fa(t, x)
-                b = fb(t, x)
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return _check_finite(a / b)
-            return div
-        return lambda t, x: _apply_pow(fa(t, x), fb(t, x))
+    def define(self, source: str, what: str) -> dict[str, object]:
+        """Compile and run source in the namespace and return the namespace.
 
-    return build(root)
+        The source is registered with linecache under a pseudo-filename,
+        so a traceback through the generated code shows its lines.
+        """
+        filename = f"<ftcsim {what} {next(self._files)}>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        exec(compile(source, filename, "exec"), self.namespace)
+        return self.namespace
 
 
 # ---------------------------------------------------------------------------

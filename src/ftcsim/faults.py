@@ -9,8 +9,8 @@ onward, including the instant itself):
   * external disturbance d(t): likewise.
 
 Signals are expressions of t only (no state variables). The engine
-evaluates the schedule in ``engine._CompiledRhs`` (``theta_at`` and
-``signal_sum``).
+evaluates the schedule inside its generated right-hand side
+(``engine._CompiledRhs``).
 """
 
 from __future__ import annotations

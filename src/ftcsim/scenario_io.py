@@ -15,6 +15,7 @@ rows. Lines starting with `#` are comments.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -65,9 +66,13 @@ class LoadedScenario:
 
 def _parse_number(text: str, line: int, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ScenarioError(line, f"{key}: expected a number, got {text!r}") from None
+        value = math.nan
+    # nan, inf and overflowing literals such as 1e999 are rejected as well
+    if not math.isfinite(value):
+        raise ScenarioError(line, f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_matrix(text: str, line: int, key: str) -> np.ndarray:

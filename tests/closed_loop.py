@@ -8,7 +8,8 @@ import numpy as np
 
 import ftcsim as F
 from ftcsim import engine
-from ftcsim.faults import AdditiveActuator, FaultSchedule, LossOfEffectiveness
+from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
+                           FaultSchedule, LossOfEffectiveness)
 from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
 
 
@@ -54,6 +55,37 @@ def schedule_at(sched, t):
         else:
             d += F.evaluate(ev.signal, t)
     return theta, d_f, d
+
+
+def applied_schedule(s, t, events=None):
+    """(theta, d_f, d) that the engine's right-hand side applies at t for
+    the fault events of s (or the given events), read off the x_f rows of
+    full() on probe copies of s.
+
+    The probes keep the events but set f = 0, g = 1, x = 0 and a constant
+    disturbance column E = e1, in faulty_no_va mode. With b = e_n and
+    k_r = 1, as in the stock system, the last x_f row is then exactly
+    theta * (u + d_f) and the first is d. With r = 1 (so u = 1) and only
+    the loss events, the last row is theta; with r = 0 (u = 0) and only the
+    additive events, it is d_f.
+    """
+    n = s.core.n
+    events = s.schedule.events if events is None else tuple(events)
+    probe = dict(nl=NonlinearPair(f=F.parse("0", n), g=F.parse("1", n)),
+                 channel=DisturbanceChannel(mode="constant", E=np.eye(n)[0]),
+                 mode="faulty_no_va")
+
+    def x_f_rates(r, kinds):
+        rhs = rhs_for(s, r_signal=r, events=[e for e in events
+                                             if isinstance(e, kinds)], **probe)
+        out, u, _ = rhs.full(t, pack(np.zeros(n)))
+        assert u == float(r)
+        return split(out, n)["x_f"]
+
+    theta = x_f_rates("1", LossOfEffectiveness)[-1]
+    d_f = x_f_rates("0", AdditiveActuator)[-1]
+    d = x_f_rates("0", ExternalDisturbance)[0]
+    return float(theta), float(d_f), float(d)
 
 
 def scalar_decay_scenario(**kw):

@@ -108,6 +108,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{short_scenario}: error: eps_band must be positive" in err
 
+    def test_nan_override_is_parse_error(self, short_scenario, tmp_path,
+                                         capsys):
+        code = cli.main(["run", str(short_scenario), "--eps-band", "nan",
+                         "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{short_scenario}: error: eps_band must be positive" in err
+        assert not (tmp_path / "o").exists()
+
     def test_matching_violation_is_numerical_abort(self, tmp_path, capsys):
         text = default_scenario_text().replace(
             "A_d = 0 1 0 ; 0 0 1 ; -1 -2 -4",

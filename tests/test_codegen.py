@@ -1,0 +1,227 @@
+"""The generated evaluation code against the references in oracles.py:
+expression functions against the tree walker, the engine's right-hand side
+against the loop version, value for value bit for bit (so +0.0 and -0.0
+differ) or exception for exception (type and message)."""
+
+import linecache
+import math
+import random
+import struct
+import traceback
+
+import numpy as np
+import pytest
+
+import ftcsim as F
+from ftcsim import engine, exprlang
+from ftcsim.exprlang import (BinOp, Call, DomainError, Literal, Neg, StateVar,
+                             TimeVar, compile_expr, parse)
+from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
+                           FaultSchedule, LossOfEffectiveness)
+from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
+
+from closed_loop import pack, rhs_for
+from oracles import LoopRhs, walk
+from test_exprlang import CORPUS, DOMAIN_ERRORS
+
+
+def outcome(fn, *args):
+    """('ok', bit patterns of the result(s)) or ('raise', type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raise", type(exc), str(exc))
+    return ("ok", bits(value))
+
+
+def bits(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(bits(v) for v in value)
+    return (type(value), struct.pack("<d", value))
+
+
+class TestExpressionsAgainstWalker:
+    @pytest.mark.parametrize("src,t,x,_expected", CORPUS)
+    def test_corpus(self, src, t, x, _expected):
+        e = parse(src, 3)
+        assert outcome(compile_expr(e), t, list(x)) == outcome(walk, e.node, t, x)
+
+    @pytest.mark.parametrize("src", list(DOMAIN_ERRORS))
+    def test_domain_errors(self, src):
+        e = parse(src, 0)
+        got = outcome(compile_expr(e), 2.0, [])
+        assert got == outcome(walk, e.node, 2.0, [])
+        assert got == ("raise", DomainError, DOMAIN_ERRORS[src])
+
+    def test_random_trees(self):
+        rng = random.Random(20)
+        seen = set()
+        points = [0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 0.5, 1e-300, 1e300, 7.0]
+        for _ in range(500):
+            node = random_tree(rng, 5, seen)
+            f = compile_expr(exprlang.Expr(node, 3))
+            for _ in range(4):
+                t = rng.choice(points + [rng.uniform(-5.0, 5.0)])
+                x = [rng.choice(points + [rng.gauss(0.0, 3.0)])
+                     for _ in range(3)]
+                assert outcome(f, t, x) == outcome(walk, node, t, x), node
+        kinds = {"literal", "inf", "time", "state", "neg"}
+        kinds |= {f"op{op}" for op in "+-*/^"} | set(exprlang._FUNCTIONS)
+        assert kinds <= seen
+
+    def test_non_finite_literal_bound_by_name(self):
+        f = compile_expr(exprlang.Expr(BinOp("-", Literal(math.inf), TimeVar()), 0))
+        source = "".join(linecache.getlines(f.__code__.co_filename))
+        assert "inf" not in source and math.inf in f.__globals__.values()
+        with pytest.raises(DomainError, match="result is not finite"):
+            f(1.0, [])
+        assert compile_expr(exprlang.Expr(Literal(math.inf), 0))(0.0, []) == math.inf
+
+
+LEAVES = [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, 10.0, -2.0, 1e308, 1e-310]
+
+
+def random_tree(rng, depth, seen):
+    """A random tree over every node kind, operator and function; the kinds
+    drawn are added to seen."""
+    kind = rng.choice(["literal", "time", "state"] if depth == 0 else
+                      ["literal", "time", "state", "neg", "op", "call", "call"])
+    if kind == "literal":
+        if rng.random() < 0.05:
+            seen.add("inf")
+            return Literal(rng.choice([math.inf, -math.inf]))
+        seen.add("literal")
+        return Literal(rng.choice(LEAVES))
+    seen.add(kind)
+    if kind == "time":
+        return TimeVar()
+    if kind == "state":
+        return StateVar(rng.randint(1, 3))
+    if kind == "neg":
+        return Neg(random_tree(rng, depth - 1, seen))
+    if kind == "op":
+        op = rng.choice("+-*/^")
+        seen.add(f"op{op}")
+        return BinOp(op, random_tree(rng, depth - 1, seen),
+                     random_tree(rng, depth - 1, seen))
+    name = rng.choice(sorted(exprlang._FUNCTIONS))
+    seen.add(name)
+    arity = exprlang._FUNCTION_ARITY[name]
+    return Call(name, tuple(random_tree(rng, depth - 1, seen)
+                            for _ in range(arity)))
+
+
+def companion(coeffs):
+    """Companion matrix whose last row is -coeffs."""
+    n = len(coeffs)
+    A = np.eye(n, k=1)
+    A[-1] = -np.asarray(coeffs, dtype=float)
+    return A
+
+
+def oracle_scenario(n, mode, channel, seed, sparse=False):
+    """A seeded n-state scenario with every event kind and b = -1.5 e_n or
+    0.5 e_n. Its f, g and r exercise the domain checks, and g dips below
+    its floor g_min = 0.3 on part of the state space; with sparse, they are
+    small and vanish at the origin instead, so that on states full of
+    signed zeros the sums in the right-hand side come out as signed zeros
+    too."""
+    rng = np.random.RandomState(seed)
+    e_n = np.eye(n)[-1]
+    core = LinearCore(A=companion(rng.uniform(-2.0, 3.0, n)),
+                      b=rng.choice([-1.5, 0.5]) * e_n, C=np.ones((1, n)))
+    ref = ReferenceModel(A_d=companion([math.comb(n, k) for k in range(n)]),
+                         B_d=1.5 * e_n)
+    xn = f"x{n}"
+    if sparse:
+        nl = NonlinearPair(f=parse(f"0.05*sin({xn})*x1", n),
+                           g=parse("4 + 0.5*sin(t)", n))
+        r = parse("step(t - 1)*sin(t)", 0)
+    else:
+        nl = NonlinearPair(
+            f=parse(f"0.2*{xn}^2 - sin(t*x1)/(1 + x1^2) + log(abs({xn}) + 0.5)"
+                    f" - max(x1, -{xn}) + sqrt(x1 + 2)", n),
+            g=parse(f"1 + 0.8*sin(x1 + t) - min(0, {xn})*0", n), g_min=0.3)
+        r = parse("step(t - 0.25)*cos(t)", 0)
+    Q = rng.standard_normal((n, n))
+    cfg = F.AdaptationConfig(gamma1=float(rng.uniform(1, 30)),
+                             gamma2=float(rng.uniform(1, 300)),
+                             gamma3=float(rng.uniform(1, 900)),
+                             P=Q @ Q.T + n * np.eye(n), theta_design=0.5)
+    if channel == "matched":
+        ch = DisturbanceChannel(mode="matched", scale=float(rng.uniform(-1, 1)))
+    else:
+        ch = DisturbanceChannel(mode="constant", E=rng.standard_normal(n))
+    sched = FaultSchedule((
+        LossOfEffectiveness(at=0.5, theta=0.8),
+        LossOfEffectiveness(at=1.0, theta=0.45),
+        AdditiveActuator(at=0.5, signal=parse("0.3*sin(3*t)", 0)),
+        AdditiveActuator(at=1.5, signal=parse("t", 0)),
+        ExternalDisturbance(at=1.0, signal=parse("1", 0)),
+        ExternalDisturbance(at=2.0, signal=parse("exp(-t)", 0))))
+    zeros = np.zeros(n)
+    return F.Scenario(core=core, nl=nl, ref=ref, channel=ch, adaptation=cfg,
+                      schedule=sched, r_signal=r, x_hat0=zeros, x_f0=zeros,
+                      x_d0=zeros, t_end=3.0, h=0.01, mode=mode)
+
+
+def states(rng, size, sparse):
+    if not sparse:
+        return (2.0 * rng.standard_normal(size)).tolist()
+    pool = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5]
+    return [pool[i] for i in rng.randint(len(pool), size=size)]
+
+
+class TestRhsAgainstLoops:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("channel", ["matched", "constant"])
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["rich", "sparse"])
+    def test_random_states(self, mode, channel, n, sparse):
+        s = oracle_scenario(n, mode, channel, seed=n, sparse=sparse)
+        rhs, oracle = engine._CompiledRhs(s), LoopRhs(s)
+        rng = np.random.RandomState(100 + n)
+        size = 4 * n + 2
+        times = [0.0, 0.5, 1.0, 1.5, 2.0, 0.49999999, 2.999]
+        zs = [[0.0] * size, [-0.0] * size]
+        zs += [states(rng, size, sparse) for _ in range(100)]
+        kinds = set()
+        for k, z in enumerate(zs):
+            t = times[k % len(times)] if k < 14 else float(rng.uniform(0, 3))
+            want = outcome(oracle.full, t, z)
+            assert outcome(rhs.full, t, z) == want, (t, z)
+            derivative = ("ok", want[1][0]) if want[0] == "ok" else want
+            assert outcome(rhs.deriv, t, z) == derivative
+            kinds.add(want[1] if want[0] == "raise" else "ok")
+        # the floor on g and the sqrt domain are both exercised
+        assert kinds == ({"ok"} if sparse
+                         else {"ok", F.InputGainTooSmall, DomainError})
+
+
+class TestGeneratedSource:
+    def test_traceback_shows_generated_line(self, stock):
+        nl = NonlinearPair(f=parse("log(x1)", 3), g=stock.nl.g)
+        rhs = rhs_for(stock, nl=nl)
+        with pytest.raises(DomainError) as exc_info:
+            rhs.full(0.0, pack([-1.0, 0.0, 0.0]))
+        filename = rhs.full.__code__.co_filename
+        frames = [fr for fr in traceback.extract_tb(exc_info.value.__traceback__)
+                  if fr.filename == filename]
+        assert len(frames) == 1
+        assert frames[0].line.endswith(" = _log(x_hat0)")
+        assert linecache.getline(filename, frames[0].lineno).strip() == frames[0].line
+        assert frames[0].line in rhs.source
+
+    def test_scenario_text_never_enters_source(self, stock):
+        nl = NonlinearPair(f=parse("0.05*sin(x3) + 1e999*0", 3), g=stock.nl.g)
+        rhs = rhs_for(stock, nl=nl, r_signal="step(t)")
+        assert "1e999" not in rhs.source and "inf" not in rhs.source
+        assert "sin(x3)" not in rhs.source
+
+    @pytest.mark.parametrize("node", [
+        BinOp("+ __import__('os').getpid() +", Literal(1.0), Literal(2.0)),
+        Call("__import__", (Literal(1.0),)),
+    ])
+    def test_foreign_nodes_never_reach_source(self, node):
+        with pytest.raises(AssertionError):
+            compile_expr(exprlang.Expr(node, 0))

@@ -112,15 +112,24 @@ class TestAgainstNumpyLoop:
                                   getattr(want, field.name)), field.name
 
     def test_four_rhs_calls_per_step(self, stock, monkeypatch):
+        # one recording call of full per row plus three deriv stages per
+        # step: RK4 reuses the recorded derivative as its first stage
         calls = 0
-        full = engine._CompiledRhs.full
 
-        def counted(self, t, z):
-            nonlocal calls
-            calls += 1
-            return full(self, t, z)
+        def counted(fn):
+            def call(t, z):
+                nonlocal calls
+                calls += 1
+                return fn(t, z)
+            return call
 
-        monkeypatch.setattr(engine._CompiledRhs, "full", counted)
+        class CountedRhs(engine._CompiledRhs):
+            def __init__(self, s):
+                super().__init__(s)
+                self.full = counted(self.full)
+                self.deriv = counted(self.deriv)
+
+        monkeypatch.setattr(engine, "_CompiledRhs", CountedRhs)
         s = dataclasses.replace(stock, t_end=0.25)
         F.run(s)
         assert calls == 4 * s.n_steps + 1

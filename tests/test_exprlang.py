@@ -141,8 +141,8 @@ class TestEval:
 
     @pytest.mark.parametrize("src,t,x,expected", CORPUS)
     def test_compiled_matches_tree_walker(self, src, t, x, expected):
-        # the compiled closure, called on a list the way the engine calls
-        # it, against the frozen corpus values
+        # the generated function, called on a list, against the frozen
+        # corpus values
         got = compile_expr(parse(src, 3))(t, list(x))
         assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 

@@ -6,82 +6,83 @@ from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness, ScheduleError,
                            check_grid_alignment)
 
-from closed_loop import rhs_for
+from closed_loop import applied_schedule
 
 
-# The schedule is evaluated where the engine evaluates it: theta_at and
-# signal_sum of engine._CompiledRhs.
+# The schedule is checked where the engine applies it: in the faulty-plant
+# rows of engine._CompiledRhs.full (see applied_schedule).
 
 
-@pytest.fixture
-def stock_rhs(stock):
-    return rhs_for(stock)
+def theta_at(s, t, events=None):
+    return applied_schedule(s, t, events)[0]
+
+
+def d_f_at(s, t, events=None):
+    return applied_schedule(s, t, events)[1]
+
+
+def d_at(s, t, events=None):
+    return applied_schedule(s, t, events)[2]
 
 
 class TestEffectiveTheta:
-    def test_before_fault(self, stock_rhs):
-        assert stock_rhs.theta_at(14.999) == 1.0
+    def test_before_fault(self, stock):
+        assert theta_at(stock, 14.999) == 1.0
 
-    def test_at_fault_instant(self, stock_rhs):
-        assert stock_rhs.theta_at(15.0) == 0.65
+    def test_at_fault_instant(self, stock):
+        assert theta_at(stock, 15.0) == 0.65
 
     def test_empty_schedule(self, stock):
-        assert rhs_for(stock, events=()).theta_at(123.0) == 1.0
+        assert theta_at(stock, 123.0, events=()) == 1.0
 
     def test_later_event_overrides(self, stock):
-        rhs = rhs_for(stock, events=(LossOfEffectiveness(at=5.0, theta=0.9),
-                                     LossOfEffectiveness(at=10.0, theta=0.4)))
-        assert rhs.theta_at(7.0) == 0.9
-        assert rhs.theta_at(10.0) == 0.4
+        events = (LossOfEffectiveness(at=5.0, theta=0.9),
+                  LossOfEffectiveness(at=10.0, theta=0.4))
+        assert theta_at(stock, 7.0, events) == 0.9
+        assert theta_at(stock, 10.0, events) == 0.4
 
-    def test_right_continuity(self, stock, stock_rhs):
+    def test_right_continuity(self, stock):
         for ev in stock.schedule.events:
             a = ev.at
-            before = stock_rhs.theta_at(a - 1e-9)
-            at = stock_rhs.theta_at(a)
-            just_after = stock_rhs.theta_at(a + 1e-9)
-            assert at == just_after
+            before = applied_schedule(stock, a - 1e-9)
+            at = applied_schedule(stock, a)
+            just_after = applied_schedule(stock, a + 1e-9)
+            assert at[0] == just_after[0]
             if isinstance(ev, LossOfEffectiveness):
-                assert before != at
+                assert before[0] != at[0]
                 continue
             # a signal is already in the sum at its trigger instant
-            signals = (stock_rhs.additive if isinstance(ev, AdditiveActuator)
-                       else stock_rhs.disturb)
-            jump = (stock_rhs.signal_sum(signals, a)
-                    - stock_rhs.signal_sum(signals, a - 1e-9))
-            assert jump == pytest.approx(F.evaluate(ev.signal, a), abs=1e-8)
+            k = 1 if isinstance(ev, AdditiveActuator) else 2
+            assert at[k] - before[k] == pytest.approx(
+                F.evaluate(ev.signal, a), abs=1e-8)
 
 
 class TestSignals:
-    def test_additive_before_trigger(self, stock_rhs):
-        assert stock_rhs.signal_sum(stock_rhs.additive, 24.9) == 0.0
+    def test_additive_before_trigger(self, stock):
+        assert d_f_at(stock, 24.9) == 0.0
 
-    def test_additive_at_trigger(self, stock_rhs):
+    def test_additive_at_trigger(self, stock):
         # 0.5*sin(2t) evaluated at t = 25
-        assert stock_rhs.signal_sum(stock_rhs.additive, 25.0) == pytest.approx(
+        assert d_f_at(stock, 25.0) == pytest.approx(
             -0.13118742685196438, rel=1e-15)
 
     def test_additive_empty(self, stock):
-        rhs = rhs_for(stock, events=())
-        assert rhs.signal_sum(rhs.additive, 30.0) == 0.0
+        assert d_f_at(stock, 30.0, events=()) == 0.0
 
-    def test_disturbance_before_trigger(self, stock_rhs):
-        assert stock_rhs.signal_sum(stock_rhs.disturb, 19.9) == 0.0
+    def test_disturbance_before_trigger(self, stock):
+        assert d_at(stock, 19.9) == 0.0
 
-    def test_disturbance_at_trigger(self, stock_rhs):
-        assert stock_rhs.signal_sum(stock_rhs.disturb, 20.0) == 1.0
+    def test_disturbance_at_trigger(self, stock):
+        assert d_at(stock, 20.0) == 1.0
 
     def test_disturbance_empty(self, stock):
-        rhs = rhs_for(stock, events=())
-        assert rhs.signal_sum(rhs.disturb, 5.0) == 0.0
+        assert d_at(stock, 5.0, events=()) == 0.0
 
     def test_multiple_signals_sum(self, stock):
-        rhs = rhs_for(stock, events=(
-            AdditiveActuator(at=1.0, signal=F.parse("2", 0)),
-            AdditiveActuator(at=3.0, signal=F.parse("t", 0)),
-        ))
-        assert rhs.signal_sum(rhs.additive, 2.0) == 2.0
-        assert rhs.signal_sum(rhs.additive, 4.0) == 6.0
+        events = (AdditiveActuator(at=1.0, signal=F.parse("2", 0)),
+                  AdditiveActuator(at=3.0, signal=F.parse("t", 0)))
+        assert d_f_at(stock, 2.0, events) == 2.0
+        assert d_f_at(stock, 4.0, events) == 6.0
 
 
 class TestValidation:

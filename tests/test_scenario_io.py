@@ -89,6 +89,25 @@ class TestLoadErrors:
             loads(text)
         assert "t_end" in str(e.value) and e.value.line > 0
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("gamma1 = 20", "gamma1 = nan", "gamma1"),
+        ("t_end = 40", "t_end = inf", "t_end"),
+        ("eps_band = 0.05", "eps_band = nan", "eps_band"),
+        ("h = 0.001", "h = -inf", "h"),
+        ("g_min = 1e-06", "g_min = 1e999", "g_min"),
+        ("A = 0 1 0 ;", "A = 0 NaN 0 ;", "A"),
+        ("theta = 0.65", "theta = nan", "theta"),
+        ("at = 20 kind", "at = inf kind", "at"),
+    ])
+    def test_non_finite_number_reports_line(self, old, new, key):
+        text = self.base().replace(old, new)
+        line = next(i for i, ln in enumerate(text.splitlines(), 1)
+                    if new in ln)
+        with pytest.raises(ScenarioError) as e:
+            loads(text)
+        assert f"{key}: expected a finite number" in str(e.value)
+        assert e.value.line == line
+
     def test_asymmetric_p_rejected(self):
         text = self.base().replace(
             "P = 2.8 2.6 0.5 ; 2.6 7.1 1.8 ; 0.5 1.8 1.1",
