@@ -344,9 +344,7 @@ def metrics(tr: SimTrace, s: Scenario, eps_band: float | None = None) -> Metrics
         suffix_ok = np.flip(np.logical_and.accumulate(np.flip(inside)))
         hits = np.flatnonzero(suffix_ok)
         recovery = float(t[idx[hits[0]]] - ev.at) if hits.size else None
-        kind = {LossOfEffectiveness: "loss", AdditiveActuator: "additive",
-                ExternalDisturbance: "disturbance"}[type(ev)]
-        events.append(EventMetrics(at=ev.at, kind=kind,
+        events.append(EventMetrics(at=ev.at, kind=ev.kind,
                                    peak=float(window.max()),
                                    recovery_time=recovery))
 

@@ -1,12 +1,14 @@
 """Time-triggered actuator faults and external disturbances.
 
 Three event kinds, all right-continuous (active from their trigger time
-onward, including the instant itself):
+onward, including the instant itself), each with the ``kind`` name that
+scenario files and metrics.txt use:
 
-  * loss of effectiveness: the input channel is scaled by theta in (0, 1];
-    the latest triggered event wins,
-  * additive actuator fault d_f(t): time signals, summed once triggered,
-  * external disturbance d(t): likewise.
+  * ``loss``: loss of effectiveness, the input channel is scaled by theta
+    in (0, 1]; the latest triggered event wins,
+  * ``additive``: additive actuator fault d_f(t), time signals summed once
+    triggered,
+  * ``disturbance``: external disturbance d(t), likewise.
 
 Signals are expressions of t only (no state variables). The engine
 evaluates the schedule inside its generated right-hand side
@@ -15,6 +17,7 @@ evaluates the schedule inside its generated right-hand side
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exprlang import Expr
@@ -28,40 +31,42 @@ class ScheduleError(ValueError):
 class LossOfEffectiveness:
     at: float
     theta: float
+    kind = "loss"
 
     def __post_init__(self):
-        if self.at < 0.0:
-            raise ScheduleError("event time must be nonnegative")
+        _check_time(self.at)
         if not 0.0 < self.theta <= 1.0:
             raise ScheduleError(f"theta must be in (0, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
-class AdditiveActuator:
+class _SignalEvent:
     at: float
     signal: Expr
 
     def __post_init__(self):
-        _check_time_signal(self)
+        _check_time(self.at)
+        if self.signal.n_states != 0:
+            raise ScheduleError("fault signals may reference t only")
 
 
-@dataclass(frozen=True)
-class ExternalDisturbance:
-    at: float
-    signal: Expr
-
-    def __post_init__(self):
-        _check_time_signal(self)
+class AdditiveActuator(_SignalEvent):
+    kind = "additive"
 
 
-def _check_time_signal(ev) -> None:
-    if ev.at < 0.0:
-        raise ScheduleError("event time must be nonnegative")
-    if ev.signal.n_states != 0:
-        raise ScheduleError("fault signals may reference t only")
+class ExternalDisturbance(_SignalEvent):
+    kind = "disturbance"
+
+
+def _check_time(at: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 <= at < math.inf:
+        raise ScheduleError(f"event time at={at} must be nonnegative and finite")
 
 
 FaultEvent = LossOfEffectiveness | AdditiveActuator | ExternalDisturbance
+EVENT_KINDS = {cls.kind: cls for cls in
+               (LossOfEffectiveness, AdditiveActuator, ExternalDisturbance)}
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The linear algebra works on plain numpy float arrays: vectors are 1-d
 arrays, matrices 2-d. Sizes are tiny (n <= 10), so the routines favour
 verifiable code over asymptotic cleverness: the Lyapunov equation is solved
-through its Kronecker vectorization and definiteness through explicit
-Cholesky pivots; symmetric eigenvalues come from numpy.linalg.eigvalsh.
+through its Kronecker vectorization (numpy has no Lyapunov routine), and
+definiteness is read off the smallest eigenvalue from numpy.linalg.eigvalsh.
 The RK4 step works on float sequences instead, because at these sizes
 numpy's per-call overhead costs more than the arithmetic.
 """
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 SYMMETRY_TOL = 1e-9
-PD_PIVOT_TOL = 1e-12
+PD_TOL = 1e-12
 ZERO_COLUMN_TOL = 1e-14
 
 
@@ -98,37 +98,12 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return P
 
 
-def cholesky_pivots(M: np.ndarray) -> list[float]:
-    """Diagonal pivots d_j = M[j,j] - sum_k L[j,k]^2 of a Cholesky sweep.
-
-    Stops at the first pivot <= PD_PIVOT_TOL (the factorization cannot
-    continue past it); the offending pivot is the last list entry.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    L = np.zeros((n, n))
-    pivots = []
-    for j in range(n):
-        d = M[j, j] - np.dot(L[j, :j], L[j, :j])
-        pivots.append(float(d))
-        if d <= PD_PIVOT_TOL:
-            break
-        L[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            L[i, j] = (M[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
-    return pivots
-
-
 def is_positive_definite(M: np.ndarray) -> bool:
-    """True iff all Cholesky pivots of (the symmetrized) M exceed 1e-12.
+    """True iff the smallest eigenvalue of (the symmetrized) M exceeds 1e-12.
 
     Raises NotSymmetric when the asymmetry of M is larger than 1e-9.
     """
-    M = np.asarray(M, dtype=float)
-    _require_symmetric(M, "M")
-    M = 0.5 * (M + M.T)
-    pivots = cholesky_pivots(M)
-    return len(pivots) == M.shape[0] and pivots[-1] > PD_PIVOT_TOL
+    return bool(eig_symmetric(M)[0] > PD_TOL)
 
 
 def eig_symmetric(M: np.ndarray) -> np.ndarray:

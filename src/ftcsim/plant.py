@@ -16,6 +16,7 @@ definition the simulation integrates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,25 +27,6 @@ from .exprlang import Expr
 
 class ModelError(ValueError):
     """A model definition violates one of its structural requirements."""
-
-
-def _rank_by_elimination(M: np.ndarray, tol: float = 1e-9) -> int:
-    """Rank via row echelon with partial pivoting; pivots below tol (relative
-    to the largest entry) count as zero."""
-    R = np.array(M, dtype=float)
-    scale = np.max(np.abs(R)) or 1.0
-    rows, cols = R.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(R[rank:, col])))
-        if abs(R[piv, col]) <= tol * scale:
-            continue
-        R[[rank, piv]] = R[[piv, rank]]
-        R[rank + 1:] -= np.outer(R[rank + 1:, col] / R[rank, col], R[rank])
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -70,7 +52,7 @@ class LinearCore:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
         ctrb = np.column_stack([np.linalg.matrix_power(A, k) @ b for k in range(n)])
-        if _rank_by_elimination(ctrb) != n:
+        if np.linalg.matrix_rank(ctrb, tol=1e-9 * np.linalg.norm(ctrb, 2)) != n:
             raise ModelError("(A, b) is not controllable")
 
     @property
@@ -95,8 +77,8 @@ class NonlinearPair:
     g_min: float = 1e-6
 
     def __post_init__(self):
-        if self.g_min <= 0.0:
-            raise ModelError("g_min must be positive")
+        if not 0.0 < self.g_min < math.inf:
+            raise ModelError("g_min must be positive and finite")
         x0 = [0.0] * self.g.n_states
         if abs(exprlang.evaluate(self.g, 0.0, x0)) <= self.g_min:
             raise ModelError("input gain g vanishes at the origin")
@@ -140,8 +122,12 @@ class DisturbanceChannel:
     def __post_init__(self):
         if self.mode not in ("constant", "matched"):
             raise ModelError(f"unknown disturbance channel mode {self.mode!r}")
+        if not math.isfinite(self.scale):
+            raise ModelError("disturbance scale must be finite")
         if self.mode == "constant":
             if self.E is None:
                 raise ModelError("constant disturbance channel needs E")
             object.__setattr__(self, "E", np.asarray(self.E, dtype=float).reshape(-1))
+            if not np.all(np.isfinite(self.E)):
+                raise ModelError("disturbance column E must be finite")
 

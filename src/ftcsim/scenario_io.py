@@ -24,8 +24,7 @@ import numpy as np
 from . import engine, exprlang, verify
 from .engine import Scenario
 from .exprlang import Expr, ExprError
-from .faults import (AdditiveActuator, ExternalDisturbance, FaultSchedule,
-                     LossOfEffectiveness)
+from .faults import EVENT_KINDS, FaultSchedule, LossOfEffectiveness
 from .plant import (DisturbanceChannel, LinearCore, NonlinearPair,
                     ReferenceModel)
 from .virtual_actuator import AdaptationConfig
@@ -250,26 +249,24 @@ def loads(text: str) -> LoadedScenario:
         m = _FAULT_LINE.match(text_line)
         if not m:
             raise ScenarioError(
-                lineno, "expected 'at = <t> kind = <loss|additive|disturbance> "
+                lineno, f"expected 'at = <t> kind = <{'|'.join(EVENT_KINDS)}> "
                         "theta = <v> | signal = <expr>'")
         at = _parse_number(m.group("at"), lineno, "at")
         kind = m.group("kind")
+        cls = EVENT_KINDS.get(kind)
+        if cls is None:
+            raise ScenarioError(lineno, f"unknown fault kind {kind!r}")
+        if cls is LossOfEffectiveness:
+            if m.group("theta") is None:
+                raise ScenarioError(lineno, "loss event needs theta = <v>")
+            value = {"theta": _parse_number(m.group("theta"), lineno, "theta")}
+        else:
+            if m.group("signal") is None:
+                raise ScenarioError(lineno, f"{kind} event needs signal = <expr>")
+            value = {"signal": _parse_expr(m.group("signal").strip(), 0, lineno,
+                                           "signal")}
         try:
-            if kind == "loss":
-                if m.group("theta") is None:
-                    raise ScenarioError(lineno, "loss event needs theta = <v>")
-                events.append(LossOfEffectiveness(
-                    at=at, theta=_parse_number(m.group("theta"), lineno, "theta")))
-            elif kind in ("additive", "disturbance"):
-                if m.group("signal") is None:
-                    raise ScenarioError(lineno, f"{kind} event needs signal = <expr>")
-                sig = _parse_expr(m.group("signal").strip(), 0, lineno, "signal")
-                cls = AdditiveActuator if kind == "additive" else ExternalDisturbance
-                events.append(cls(at=at, signal=sig))
-            else:
-                raise ScenarioError(lineno, f"unknown fault kind {kind!r}")
-        except ScenarioError:
-            raise
+            events.append(cls(at=at, **value))
         except ValueError as exc:
             raise ScenarioError(lineno, str(exc)) from exc
     schedule = FaultSchedule(tuple(events))
@@ -364,11 +361,10 @@ def emit(loaded: LoadedScenario | Scenario) -> str:
     out.append("[faults]")
     for ev in s.schedule.events:
         if isinstance(ev, LossOfEffectiveness):
-            out.append(f"at = {_fmt_num(ev.at)} kind = loss theta = {_fmt_num(ev.theta)}")
-        elif isinstance(ev, AdditiveActuator):
-            out.append(f"at = {_fmt_num(ev.at)} kind = additive signal = {_fmt_expr(ev.signal)}")
+            value = f"theta = {_fmt_num(ev.theta)}"
         else:
-            out.append(f"at = {_fmt_num(ev.at)} kind = disturbance signal = {_fmt_expr(ev.signal)}")
+            value = f"signal = {_fmt_expr(ev.signal)}"
+        out.append(f"at = {_fmt_num(ev.at)} kind = {ev.kind} {value}")
     out.append("")
     out.append("[run]")
     out.append(f"t_end = {_fmt_num(s.t_end)}")

@@ -51,17 +51,19 @@ def check_condition(A: np.ndarray, P: np.ndarray,
     P = np.asarray(P, dtype=float)
     if A.shape != P.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A and P must be square matrices of the same size")
-    numerics._require_symmetric(P, "P")
+    P_pd = numerics.is_positive_definite(P)  # raises NotSymmetric
     P = 0.5 * (P + P.T)
     Q = -(A.T @ P + P @ A)
     Q = 0.5 * (Q + Q.T)
+    eig_Q = numerics.eig_symmetric(Q)
+    # the verdict is read off the reported spectrum, so the two agree
     return ConditionReport(
         label=label,
         P_used=P,
         Q=Q,
-        eig_Q=numerics.eig_symmetric(Q),
-        Q_pd=numerics.is_positive_definite(Q),
-        P_pd=numerics.is_positive_definite(P),
+        eig_Q=eig_Q,
+        Q_pd=bool(eig_Q[0] > numerics.PD_TOL),
+        P_pd=P_pd,
     )
 
 

@@ -18,6 +18,7 @@ their configuration and the ultimate bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,15 @@ class AdaptationConfig:
     d_dot_max: float = 0.0
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.gamma3) <= 0.0:
-            raise ValueError("adaptation rates must be positive")
+        # written so that NaN fails too
+        for name in ("gamma1", "gamma2", "gamma3"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.theta_design < 1.0:
             raise ValueError("theta_design must lie in (0, 1)")
-        if self.d_tilde_max < 0.0 or self.d_dot_max < 0.0:
-            raise ValueError("disturbance bounds must be nonnegative")
+        for name in ("d_tilde_max", "d_dot_max"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         P = np.asarray(self.P, dtype=float)
         object.__setattr__(self, "P", P)
         if not is_positive_definite(P):

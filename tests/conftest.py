@@ -12,6 +12,11 @@ P1_ROWS = np.array([[2.5, 2.5, 0.5],
 P2_ROWS = np.array([[2.8, 2.6, 0.5],
                     [2.6, 7.1, 1.8],
                     [0.5, 1.8, 1.1]])
+# V V^T with V = [[1, -4], [1, -5], [-7, 0]]: symmetric, rank 2, and its
+# determinant is exactly 0, so it is not positive definite
+SINGULAR_P_ROWS = np.array([[17.0, 21.0, -7.0],
+                            [21.0, 26.0, -7.0],
+                            [-7.0, -7.0, 49.0]])
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +57,8 @@ def p1():
 @pytest.fixture(scope="session")
 def p2():
     return P2_ROWS.copy()
+
+
+@pytest.fixture(scope="session")
+def singular_p():
+    return SINGULAR_P_ROWS.copy()

@@ -1,8 +1,11 @@
-"""Independent references for the generated evaluation code: a tree-walking
-expression evaluator and the closed-loop right-hand side written as plain
-loops over it. The generated code must agree with both bit for bit."""
+"""Independent references: for the generated evaluation code, a
+tree-walking expression evaluator and the closed-loop right-hand side
+written as plain loops over it (the generated code must agree with both
+bit for bit); for the numpy.linalg tests, rank and positive definiteness
+in exact rational arithmetic."""
 
 import math
+from fractions import Fraction
 
 from ftcsim import exprlang
 from ftcsim.controller import InputGainTooSmall
@@ -171,3 +174,35 @@ class LoopRhs:
             out[4 * n] = -self.gamma2 * sgn * u
             out[4 * n + 1] = self.gamma3 * sgn
         return out, u, u_f
+
+
+def exact_rank(rows) -> int:
+    """Rank of a matrix whose entries are ints or floats (each an exact
+    rational), by Gaussian elimination over Fractions."""
+    R = [[Fraction(float(v)) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(R[0]) if R else 0):
+        piv = next((r for r in range(rank, len(R)) if R[r][col] != 0), None)
+        if piv is None:
+            continue
+        R[rank], R[piv] = R[piv], R[rank]
+        for r in range(rank + 1, len(R)):
+            f = R[r][col] / R[rank][col]
+            R[r] = [a - f * b for a, b in zip(R[r], R[rank])]
+        rank += 1
+    return rank
+
+
+def exact_positive_definite(M) -> bool:
+    """Whether the symmetric matrix M, with its float entries read as exact
+    rationals, is positive definite: every pivot of Gaussian elimination
+    without row exchanges (the ratio of consecutive leading principal
+    minors) must be positive."""
+    R = [[Fraction(float(v)) for v in row] for row in M]
+    for k in range(len(R)):
+        if R[k][k] <= 0:
+            return False
+        for r in range(k + 1, len(R)):
+            f = R[r][k] / R[k][k]
+            R[r] = [a - f * b for a, b in zip(R[r], R[k])]
+    return True

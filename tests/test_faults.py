@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import ftcsim as F
-from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
+from ftcsim.faults import (EVENT_KINDS, AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness, ScheduleError,
                            check_grid_alignment)
 
@@ -95,6 +97,24 @@ class TestValidation:
     def test_negative_time(self):
         with pytest.raises(ScheduleError):
             LossOfEffectiveness(at=-1.0, theta=0.5)
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda at: LossOfEffectiveness(at=at, theta=0.5),
+        lambda at: AdditiveActuator(at=at, signal=F.parse("1", 0)),
+        lambda at: ExternalDisturbance(at=at, signal=F.parse("1", 0)),
+    ], ids=["loss", "additive", "disturbance"])
+    def test_non_finite_time_rejected(self, make, at):
+        with pytest.raises(ScheduleError, match="at="):
+            make(at)
+
+    def test_kind_names(self):
+        assert EVENT_KINDS == {"loss": LossOfEffectiveness,
+                               "additive": AdditiveActuator,
+                               "disturbance": ExternalDisturbance}
+        assert LossOfEffectiveness(at=1.0, theta=0.5).kind == "loss"
+        one = F.parse("1", 0)
+        assert ExternalDisturbance(at=1.0, signal=one).kind == "disturbance"
 
     def test_state_dependent_signal_rejected(self):
         with pytest.raises(ScheduleError):

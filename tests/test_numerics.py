@@ -8,6 +8,8 @@ from ftcsim.numerics import (NonFiniteDerivative, NotSymmetric, SingularSystem,
                              ZeroColumn, eig_symmetric, is_positive_definite,
                              left_pinv_col, rk4_step, solve_lyapunov)
 
+from oracles import exact_positive_definite, exact_rank
+
 
 # --- independent oracle: rebuild and solve the vectorized Lyapunov system
 # with hand-rolled elimination, no numpy linear algebra involved
@@ -164,15 +166,48 @@ class TestPositiveDefinite:
         assert not is_positive_definite(Q1)
 
     def test_matches_eigensolver_on_random_matrices(self):
+        # The reference is exact: rational elimination on the float
+        # entries. Only matrices whose smallest eigenvalue is at least 1e-9
+        # away from zero are kept, so the 1e-12 threshold never decides.
         rng = np.random.RandomState(11)
-        for k in range(100):
+        verdicts = []
+        for k in range(600):
             n = rng.randint(1, 6)
             R = rng.standard_normal((n, n))
-            if k % 2 == 0:
+            if k % 3 == 0:
                 M = R @ R.T + 1e-3 * np.eye(n)   # definitely PD
+            elif k % 3 == 1:
+                M = R @ R.T                      # PD unless nearly singular
             else:
-                M = 0.5 * (R + R.T)              # usually indefinite
-            assert is_positive_definite(M) == (eig_symmetric(M).min() > 1e-12)
+                M = R + R.T                      # usually indefinite
+            M = 0.5 * (M + M.T)
+            if abs(np.linalg.eigvalsh(M)[0]) <= 1e-9:
+                continue
+            expected = exact_positive_definite(M)
+            assert is_positive_definite(M) == expected
+            verdicts.append(expected)
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 150
+
+    def test_integer_factors_against_exact_oracle(self):
+        # V V^T with integer V of rank < n is exactly singular: rounding
+        # in a factorization must not make it positive definite.
+        rng = np.random.RandomState(13)
+        singular = 0
+        for _ in range(3000):
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n + 1)
+            V = rng.randint(-5, 6, size=(n, r))
+            M = (V @ V.T).astype(float)
+            expected = exact_positive_definite(M)
+            if expected and np.linalg.eigvalsh(M)[0] <= 1e-9:
+                continue
+            assert is_positive_definite(M) == expected
+            singular += exact_rank(M) < n
+        assert singular > 2000
+
+    def test_singular_integer_factor_rejected(self, singular_p):
+        assert exact_rank(singular_p) == 2
+        assert not is_positive_definite(singular_p)
 
 
 class TestEigSymmetric:

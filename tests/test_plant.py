@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ftcsim.plant import (DisturbanceChannel, LinearCore, ModelError,
                           NonlinearPair, ReferenceModel)
 
 from closed_loop import pack, rhs_for, scalar_decay_scenario, split
+from oracles import exact_rank
 
 
 class TestLinearCore:
@@ -24,6 +26,33 @@ class TestLinearCore:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ModelError):
             LinearCore(A=np.eye(2), b=[1.0, 0.0, 0.0], C=[[1.0, 0.0]])
+
+    def test_controllability_matches_exact_rank(self):
+        # integer (A, b); every other pair is made uncontrollable: A block
+        # upper triangular with b zero in the lower block, then permuted
+        rng = np.random.RandomState(17)
+        verdicts = []
+        for k in range(400):
+            n = rng.randint(1, 6)
+            A = rng.randint(-2, 3, size=(n, n)) * (rng.random_sample((n, n)) < 0.6)
+            b = rng.randint(-1, 2, size=n)
+            if k % 2 and n > 1:
+                m = rng.randint(1, n)
+                A[m:, :m] = 0
+                b[m:] = 0
+                p = rng.permutation(n)
+                A, b = A[p][:, p], b[p]
+            ctrb = np.column_stack(
+                [np.linalg.matrix_power(A, j) @ b for j in range(n)])
+            controllable = exact_rank(ctrb) == n
+            try:
+                LinearCore(A=A.astype(float), b=b.astype(float), C=np.ones((1, n)))
+            except ModelError:
+                assert not controllable, (A, b)
+            else:
+                assert controllable, (A, b)
+            verdicts.append(controllable)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 150
 
 
 class TestReferenceModel:
@@ -47,6 +76,23 @@ class TestNonlinearPair:
     def test_runtime_floor_positive(self):
         with pytest.raises(ModelError):
             NonlinearPair(f=F.parse("0", 1), g=F.parse("1", 1), g_min=0.0)
+
+    @pytest.mark.parametrize("g_min", [math.nan, math.inf])
+    def test_runtime_floor_finite(self, g_min):
+        with pytest.raises(ModelError, match="g_min"):
+            NonlinearPair(f=F.parse("0", 1), g=F.parse("1", 1), g_min=g_min)
+
+
+class TestDisturbanceChannel:
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ModelError, match="scale"):
+            DisturbanceChannel(mode="matched", scale=scale)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_rejected(self, entry):
+        with pytest.raises(ModelError, match="column E"):
+            DisturbanceChannel(mode="constant", E=[1.0, entry, 0.0])
 
 
 # The plant right-hand sides are checked on the engine's closed loop

@@ -115,6 +115,13 @@ class TestLoadErrors:
         with pytest.raises(ScenarioError):
             loads(text)
 
+    def test_singular_p_rejected(self, singular_p):
+        rows = " ; ".join(" ".join(f"{v:g}" for v in row) for row in singular_p)
+        text = self.base().replace(
+            "P = 2.8 2.6 0.5 ; 2.6 7.1 1.8 ; 0.5 1.8 1.1", f"P = {rows}")
+        with pytest.raises(ScenarioError, match="positive definite"):
+            loads(text)
+
     def test_unaligned_event_rejected(self):
         text = self.base().replace("at = 15 kind", "at = 15.0005 kind")
         with pytest.raises(ScenarioError):

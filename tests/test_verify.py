@@ -37,6 +37,11 @@ class TestCheckCondition:
         Q = -(core.A.T @ p2 + p2 @ core.A)
         assert np.max(np.abs(rep.Q - Q)) <= 1e-12
 
+    def test_singular_p_not_certified(self, core, singular_p):
+        rep = check_condition(core.A, singular_p)
+        assert not rep.P_pd
+        assert not rep.certified
+
     def test_asymmetric_p_rejected(self, core):
         with pytest.raises(numerics.NotSymmetric):
             check_condition(core.A, np.array([[1.0, 1.0, 0.0],

@@ -140,6 +140,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(p2, gamma3=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma3",
+                                       "d_tilde_max", "d_dot_max"])
+    def test_non_finite_rejected(self, p2, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(p2, **{field: value})
+
     def test_weight_must_be_pd(self):
         with pytest.raises(ValueError):
             make_config(np.diag([1.0, 1.0, 0.0]))
