@@ -5,8 +5,9 @@ One run integrates the augmented state
     z = [x_d; x_hat; x_f; M; N; d_hat]
 
 with a single fixed-step RK4, so the continuous-time update laws keep the
-integrator's order. Fault events must sit on the step grid; within a step
-the schedule is evaluated at the stage times, which never straddle an
+integrator's order. The whole loop is Python generated per scenario (see
+_CompiledRhs and run). Fault events must sit on the step grid; within a
+step the schedule is evaluated at the stage times, which never straddle an
 event interior.
 
 Modes:
@@ -18,14 +19,15 @@ Modes:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import controller, exprlang, faults, numerics
+from . import controller, exprlang, faults
 from .controller import InputGainTooSmall, NominalGains
-from .exprlang import DomainError, Expr
+from .exprlang import Expr
 from .faults import (AdditiveActuator, ExternalDisturbance, FaultSchedule,
                      LossOfEffectiveness)
 from .numerics import NonFiniteDerivative
@@ -156,37 +158,79 @@ class _CompiledRhs:
     InputGainTooSmall.
 
     At n ~ 3 interpreter overhead, not arithmetic, dominates, so these
-    equations are generated once per scenario as one straight-line Python
-    function over floats: z is unpacked into locals, the matrix products
-    are unrolled with the model's numbers as constants, and f, g, r and
-    the fault signals are inlined through exprlang.Codegen. Every product
-    and sum is kept, in the order of a plain loop with 0.0-seeded
-    accumulators, so the results are bit-identical to it (signed zeros
-    included). `full(t, z)` returns (z', u, u_f), `deriv(t, z)` only z';
-    `source` holds the generated code, which tracebacks show.
+    equations are generated once per scenario as straight-line Python over
+    floats: the matrix products are unrolled with the model's numbers as
+    constants, and f, g, r and the fault signals are inlined through
+    exprlang.Codegen. Every product and sum is kept, in the order of a
+    plain loop with 0.0-seeded accumulators, so the results are
+    bit-identical to it (signed zeros included). One source holds the body
+    twice: `full(t, z)` returns (z', u, u_f), and `integrate(z, steps, h,
+    rec)` is run's whole RK4 loop, the state in locals and the four stages
+    inlined in numerics.rk4_step's operation order. Tracebacks show
+    `source`.
     """
 
     def __init__(self, s: Scenario):
         gen = exprlang.Codegen()
-        gen.namespace["_InputGainTooSmall"] = InputGainTooSmall
-        lines, z_dot = _rhs_lines(s, gen)
-        body = "".join(f"    {line}\n" for line in lines)
-        self.source = (f"def full(t, z):\n{body}    return {z_dot}, u, u_f\n\n"
-                       f"def deriv(t, z):\n{body}    return {z_dot}\n")
+        gen.namespace.update(_InputGainTooSmall=InputGainTooSmall, _diverged=_diverged)
+        names, body, dz = _rhs_lines(s, gen)
+        zs, k1, k2, k3 = ([f"{stem}{i}" for i in range(len(names))]
+                          for stem in ("z", "k1_", "k2_", "k3_"))
+        join = ", ".join
+
+        def stage(t: str, step: str, ks: list[str], keep: list[str]):
+            """z' at time t and state z + step * ks (z for no step), kept in keep."""
+            inputs = [f"{z} + {step} * {k}" if step else z
+                      for z, k in zip(zs, ks)]
+            return ([f"t = {t}"] + [f"{a} = {b}" for a, b in zip(names, inputs)]
+                    + body + [f"{a} = {e}" for a, e in zip(keep, dz)])
+
+        loop = (stage("tk", "", zs, k1)
+                + [f"extend(({join(zs)}, u, u_f))", "if k == steps:", "    break"]
+                + stage("tk + h2", "h2", k1, k2) + stage("tk + h2", "h2", k2, k3)
+                + stage("tk + h", "h", k3, [])
+                + [f"{z} = {z} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + ({e}))"
+                   for z, a, b, c, e in zip(zs, k1, k2, k3, dz)])
+        self.source = (
+            f"def full(t, z):\n    {join(names)} = z\n"
+            + "".join(f"    {line}\n" for line in body)
+            + f"    return [{join(dz)}], u, u_f\n\n"
+            f"def integrate(z, steps, h, rec):\n    {join(zs)} = z\n"
+            "    h2 = h / 2.0\n    h6 = h / 6.0\n    extend = rec.extend\n"
+            "    for k in range(steps + 1):\n        tk = k * h\n        try:\n"
+            + "".join(f"            {line}\n" for line in loop)
+            + "        except _DomainError as exc:\n            raise _DomainError("
+            "f'{exc} (during step starting at t={tk})') from exc\n"
+            f"        if not _isfinite({' + '.join(zs)}):\n"
+            f"            _diverged(tk, [{join(zs)}], [{join(k1 + k2 + k3 + dz)}])\n")
         ns = gen.define(self.source, "rhs")
-        self.full = ns["full"]
-        self.deriv = ns["deriv"]
+        self.full, self.integrate = ns["full"], ns["integrate"]
 
 
-def _rhs_lines(s: Scenario, gen: exprlang.Codegen) -> tuple[list[str], str]:
-    """Body of the generated right-hand side of s (see _CompiledRhs), ending
-    with u and u_f assigned, and the source of the z' list it returns."""
+def _diverged(t: float, z: list[float], stages: list[float]) -> None:
+    """Cold branch of the generated loop's test of sum(z) after the step
+    from t: all of z finite means the sum overflowed and the run goes on;
+    else a non-finite stage, or if none the state, is reported."""
+    if all(map(math.isfinite, z)):
+        return
+    if all(map(math.isfinite, stages)):
+        raise NonFiniteDerivative(f"state diverged during step at t={t}")
+    raise NonFiniteDerivative(f"non-finite derivative near t={t!r} "
+                              f"(during step starting at t={t})")
+
+
+def _rhs_lines(s: Scenario, gen: exprlang.Codegen
+               ) -> tuple[list[str], list[str], list[str]]:
+    """The generated right-hand side of s (see _CompiledRhs): the names its
+    body reads z from, the body, which ends with u and u_f assigned, and
+    the source of each element of z'."""
     n = s.core.n
     c = gen.const
     A, b = s.core.A, s.core.b
     x_d, x_hat, x_f, M, x_t = ([f"{stem}{i}" for i in range(n)]
                                for stem in ("x_d", "x_hat", "x_f", "M", "x_t"))
-    lines = [f"{', '.join(x_d + x_hat + x_f + M)}, N, d_hat = z"]
+    names = x_d + x_hat + x_f + M + ["N", "d_hat"]
+    lines: list[str] = []
 
     def inline(expr: Expr, state: list[str], name: str, out=lines) -> None:
         result = gen.expr(expr.node, "t", lambda k: state[k - 1], out)
@@ -215,10 +259,10 @@ def _rhs_lines(s: Scenario, gen: exprlang.Codegen) -> tuple[list[str], str]:
     lines.append("c_nom = f_hat + g_hat * u")
     assign(dx_hat, [dot(f"{c(b[i])} * c_nom", A[i], x_hat) for i in range(n)])
 
-    zeros = ["0.0"] * n
+    zeros = ["0.0"] * (n + 2)
     if s.mode == MODE_NOMINAL_ONLY:
         lines.append("u_f = u")
-        return lines, f"[{', '.join(dx_d + dx_hat + dx_hat + zeros)}, 0.0, 0.0]"
+        return names, lines, dx_d + dx_hat + dx_hat + zeros
 
     with_va = s.mode == MODE_FAULTY_WITH_VA
     if with_va:
@@ -252,7 +296,7 @@ def _rhs_lines(s: Scenario, gen: exprlang.Codegen) -> tuple[list[str], str]:
     assign(dx_f, [dot(f"{c(b[i])} * c_f + {channel[i]}", A[i], x_f)
                   for i in range(n)])
     if not with_va:
-        return lines, f"[{', '.join(dx_d + dx_hat + dx_f + zeros)}, 0.0, 0.0]"
+        return names, lines, dx_d + dx_hat + dx_f + zeros
 
     cfg = s.adaptation
     P_x_t = [f"({dot('0.0', row, x_t)})" for row in cfg.P]
@@ -260,58 +304,40 @@ def _rhs_lines(s: Scenario, gen: exprlang.Codegen) -> tuple[list[str], str]:
     lines.append(f"g1s = -{c(cfg.gamma1)} * sgn")
     dM = [f"g1s * {x}" for x in x_t]
     laws = [f"-{c(cfg.gamma2)} * sgn * u", f"{c(cfg.gamma3)} * sgn"]
-    return lines, f"[{', '.join(dx_d + dx_hat + dx_f + dM + laws)}]"
+    return names, lines, dx_d + dx_hat + dx_f + dM + laws
 
 
 def run(s: Scenario) -> SimTrace:
     """Simulate the scenario and return the full trace.
 
+    The generated `integrate` (see _CompiledRhs) runs the loop: each step
+    appends the row (z, u, u_f) of its first stage to one flat buffer, of
+    which the trace arrays are views, runs three more stages and tests the
+    new state once; 4K+1 evaluations in all, the last row's unchecked.
+
     Deterministic: the same scenario always produces the bit-identical
-    trace. Raises InputGainTooSmall, NonFiniteDerivative or DomainError
-    (each tagged with the time) if the run cannot continue.
+    trace. Raises InputGainTooSmall (at the stage time), DomainError
+    "<reason> (during step starting at t=<t>)", or NonFiniteDerivative
+    "non-finite derivative near t=<t> (during step starting at t=<t>)" if a
+    stage is not finite and "state diverged during step at t=<t>" if only
+    the new state is not.
     """
     n = s.core.n
-    rhs = _CompiledRhs(s)
     steps = s.n_steps
-    h = s.h
-
     x_f0 = s.x_hat0 if s.mode == MODE_NOMINAL_ONLY else s.x_f0
     # M = 0, N = 1, d_hat = 0: the virtual actuator starts transparent
     z = (s.x_d0.tolist() + s.x_hat0.tolist() + x_f0.tolist()
          + [0.0] * n + [1.0, 0.0])
-
-    t_grid = np.arange(steps + 1) * h
-    Z = np.empty((steps + 1, 4 * n + 2))
-    U = np.empty(steps + 1)
-    UF = np.empty(steps + 1)
-
-    for k in range(steps + 1):
-        t = k * h
-        try:
-            # the recorded derivative is RK4's first stage
-            k1, u, u_f = rhs.full(t, z)
-            Z[k] = z
-            U[k] = u
-            UF[k] = u_f
-            if k < steps:
-                z = numerics.rk4_step(rhs.deriv, t, z, h, k1)
-        except DomainError as exc:
-            raise DomainError(f"{exc} (during step starting at t={t})") from exc
-        except NonFiniteDerivative as exc:
-            raise NonFiniteDerivative(
-                f"{exc} (during step starting at t={t})") from exc
-        if not all(map(math.isfinite, z)):
-            raise NonFiniteDerivative(f"state diverged during step at t={t}")
-
-    x_d = Z[:, 0:n]
-    x_hat = Z[:, n:2 * n]
-    x_f = Z[:, 2 * n:3 * n]
+    rec = array("d")
+    _CompiledRhs(s).integrate(z, steps, s.h, rec)
+    rows = np.frombuffer(rec).reshape(steps + 1, 4 * n + 4)
+    x_d, x_hat, x_f, M = (rows[:, i * n:(i + 1) * n] for i in range(4))
     Ct = s.core.C.T
     return SimTrace(
-        t=t_grid,
+        t=np.arange(steps + 1) * s.h,
         x_d=x_d, x_hat=x_hat, x_f=x_f,
-        u=U, u_f=UF,
-        M=Z[:, 3 * n:4 * n], N=Z[:, 4 * n], d_hat=Z[:, 4 * n + 1],
+        u=rows[:, 4 * n + 2], u_f=rows[:, 4 * n + 3],
+        M=M, N=rows[:, 4 * n], d_hat=rows[:, 4 * n + 1],
         e=x_hat - x_d, x_tilde=x_f - x_hat,
         y_d=x_d @ Ct, y_hat=x_hat @ Ct, y_f=x_f @ Ct,
     )

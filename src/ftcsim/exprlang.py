@@ -11,8 +11,8 @@ a < 0 and 1 otherwise (right-continuous, so step(0) = 1).
 
 Parse errors carry the byte offset of the offending token. Evaluation
 reports domain violations (log/sqrt of a negative, division by zero,
-fractional powers of a negative base, overflow to infinity) instead of
-silently returning non-finite numbers.
+fractional powers of a negative base, overflow to infinity, sin/cos/tan
+of a non-finite value) instead of silently returning non-finite numbers.
 
 Expressions are evaluated by generated code: Codegen writes a parsed tree
 out as straight-line Python (one assignment per node, with the domain
@@ -323,10 +323,6 @@ def _apply_pow(base: float, expo: float) -> float:
         raise DomainError(str(exc)) from exc
 
 
-def _tan(a: float) -> float:
-    return _check_finite(math.tan(a))
-
-
 def _exp(a: float) -> float:
     try:
         return _check_finite(math.exp(a))
@@ -356,7 +352,7 @@ def _step(a: float) -> float:
 
 # The callable behind each function name.
 _FUNCTIONS: dict[str, Callable[..., float]] = {
-    "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": _exp,
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": _exp,
     "log": _log, "sqrt": _sqrt, "abs": abs, "sign": _sign, "step": _step,
     "min": min, "max": max,
 }
@@ -398,7 +394,8 @@ class Codegen:
     first domain violation in source order is the one reported; + - *
     check finiteness after each operation; / evaluates both operands, then
     rejects a zero divisor, then checks finiteness; ^ goes through
-    _apply_pow and each call through its _FUNCTIONS callable.
+    _apply_pow and each call through its _FUNCTIONS callable, after
+    sin, cos and tan have rejected a non-finite argument.
 
     Only names made here and finite constants written with repr (which
     round-trips a float exactly) enter the source. Non-finite constants
@@ -460,6 +457,9 @@ class Codegen:
             if node.name not in _FUNCTIONS:
                 raise AssertionError(f"unknown function {node.name!r}")
             args = ", ".join(self.expr(a, t, state, lines) for a in node.args)
+            if node.name in ("sin", "cos", "tan"):
+                lines.append(f"if not _isfinite({args}): raise _DomainError("
+                             f"f'{node.name} of non-finite value {{{args}!r}}')")
             v = self.fresh()
             lines.append(f"{v} = _{node.name}({args})")
             return v

@@ -50,7 +50,9 @@ def rk4_step(deriv: Callable[[float, Sequence[float]], Sequence[float]],
     to the numpy form.
 
     Raises NonFiniteDerivative if any of the four stage evaluations is
-    non-finite; the state itself then stays untouched.
+    non-finite; the state itself then stays untouched. engine.run does not
+    call this: its generated loop inlines these stages in this operation
+    order, and is tested against this step (tests/oracles.py).
     """
     if k1 is None:
         k1 = deriv(t, x)

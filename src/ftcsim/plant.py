@@ -48,9 +48,10 @@ class LinearCore:
             raise ModelError("b must be a length-n column")
         if C.shape[1] != n:
             raise ModelError("C must have n columns")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "C", C)
+        for name, value in (("A", A), ("b", b), ("C", C)):
+            if not np.all(np.isfinite(value)):
+                raise ModelError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         ctrb = np.column_stack([np.linalg.matrix_power(A, k) @ b for k in range(n)])
         if np.linalg.matrix_rank(ctrb, tol=1e-9 * np.linalg.norm(ctrb, 2)) != n:
             raise ModelError("(A, b) is not controllable")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, exprlang, verify
+from . import engine, exprlang, numerics, verify
 from .engine import Scenario
 from .exprlang import Expr, ExprError
 from .faults import EVENT_KINDS, FaultSchedule, LossOfEffectiveness
@@ -241,8 +241,9 @@ def loads(text: str) -> LoadedScenario:
 
     P1 = None
     if raw.has("adaptation", "P1"):
-        p1_src, p1_line = raw.get("adaptation", "P1")
-        P1 = _parse_matrix(p1_src, p1_line, "P1")
+        P1, p1_line = matrix("adaptation", "P1")
+        if P1.shape != (n, n) or np.max(abs(P1 - P1.T)) > numerics.SYMMETRY_TOL:
+            raise ScenarioError(p1_line, f"P1 must be a symmetric {n}x{n} matrix")
 
     events = []
     for text_line, lineno in raw.fault_lines:

@@ -1,16 +1,20 @@
 """Independent references: for the generated evaluation code, a
-tree-walking expression evaluator and the closed-loop right-hand side
-written as plain loops over it (the generated code must agree with both
-bit for bit); for the numpy.linalg tests, rank and positive definiteness
-in exact rational arithmetic."""
+tree-walking expression evaluator, the closed-loop right-hand side written
+as plain loops over it, and the RK4 integration loop over that (the
+generated code must agree with all three bit for bit); for the
+numpy.linalg tests, rank and positive definiteness in exact rational
+arithmetic."""
 
 import math
 from fractions import Fraction
 
-from ftcsim import exprlang
+import numpy as np
+
+from ftcsim import engine, exprlang, numerics
 from ftcsim.controller import InputGainTooSmall
 from ftcsim.exprlang import BinOp, Call, DomainError, Literal, Neg, StateVar, TimeVar
 from ftcsim.faults import AdditiveActuator, ExternalDisturbance, LossOfEffectiveness
+from ftcsim.numerics import NonFiniteDerivative
 
 
 def walk(node, t, x):
@@ -26,6 +30,8 @@ def walk(node, t, x):
         return -walk(node.operand, t, x)
     if isinstance(node, Call):
         args = [walk(a, t, x) for a in node.args]
+        if node.name in ("sin", "cos", "tan") and not math.isfinite(args[0]):
+            raise DomainError(f"{node.name} of non-finite value {args[0]!r}")
         return exprlang._FUNCTIONS[node.name](*args)
     assert isinstance(node, BinOp), node
     a = walk(node.left, t, x)
@@ -174,6 +180,47 @@ class LoopRhs:
             out[4 * n] = -self.gamma2 * sgn * u
             out[4 * n + 1] = self.gamma3 * sgn
         return out, u, u_f
+
+
+def loop_run(s, rhs=None):
+    """engine.run as a Python loop: a recording call of rhs.full per row
+    (LoopRhs by default) and numerics.rk4_step over it, which reuses the
+    recorded derivative as its first stage; DomainError and
+    NonFiniteDerivative get the step start time appended, and a non-finite
+    state after a step is reported as divergence."""
+    n = s.core.n
+    rhs = LoopRhs(s) if rhs is None else rhs
+    steps, h = s.n_steps, s.h
+    x_f0 = s.x_hat0 if s.mode == "nominal_only" else s.x_f0
+    z = (s.x_d0.tolist() + s.x_hat0.tolist() + x_f0.tolist()
+         + [0.0] * n + [1.0, 0.0])
+    Z = np.empty((steps + 1, 4 * n + 2))
+    U = np.empty(steps + 1)
+    UF = np.empty(steps + 1)
+    for k in range(steps + 1):
+        t = k * h
+        try:
+            k1, u, u_f = rhs.full(t, z)
+            Z[k] = z
+            U[k] = u
+            UF[k] = u_f
+            if k < steps:
+                z = numerics.rk4_step(lambda t, z: rhs.full(t, z)[0],
+                                      t, z, h, k1)
+        except DomainError as exc:
+            raise DomainError(f"{exc} (during step starting at t={t})") from exc
+        except NonFiniteDerivative as exc:
+            raise NonFiniteDerivative(
+                f"{exc} (during step starting at t={t})") from exc
+        if not all(map(math.isfinite, z)):
+            raise NonFiniteDerivative(f"state diverged during step at t={t}")
+    x_d, x_hat, x_f = Z[:, 0:n], Z[:, n:2 * n], Z[:, 2 * n:3 * n]
+    Ct = s.core.C.T
+    return engine.SimTrace(
+        t=np.arange(steps + 1) * h, x_d=x_d, x_hat=x_hat, x_f=x_f,
+        u=U, u_f=UF, M=Z[:, 3 * n:4 * n], N=Z[:, 4 * n],
+        d_hat=Z[:, 4 * n + 1], e=x_hat - x_d, x_tilde=x_f - x_hat,
+        y_d=x_d @ Ct, y_hat=x_hat @ Ct, y_f=x_f @ Ct)
 
 
 def exact_rank(rows) -> int:

@@ -93,6 +93,28 @@ class TestRun:
         for name in ("trace.csv", "metrics.txt", "output.svg"):
             assert (out / "short" / name).exists()
 
+    def test_diverging_scenario_does_not_stop_batch(self, short_scenario,
+                                                    tmp_path, capsys):
+        # a disturbance at t = 1 with h = 0.02 drives the virtual actuator
+        # unstable, and its state reaches sin() as +-inf
+        text = default_scenario_text()
+        for old, new in (("t_end = 40", "t_end = 2"), ("h = 0.001", "h = 0.02"),
+                         ("at = 15 kind = loss theta = 0.65\n", ""),
+                         ("at = 20 kind = disturbance", "at = 1 kind = disturbance"),
+                         ("at = 25 kind = additive signal = 0.5*sin(2*t)\n", "")):
+            assert old in text
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        out = tmp_path / "batch"
+        code = cli.main(["run", str(bad), str(short_scenario), "-o", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"{bad}: numerical abort: sin of non-finite value" in err
+        for name in ("trace.csv", "metrics.txt", "output.svg", "states.svg",
+                     "xtilde.svg", "adaptation.svg"):
+            assert (out / "short" / name).exists()
+
     def test_batch_exits_with_worst_code(self, short_scenario, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("[system]\nn = banana\n")
@@ -155,6 +177,29 @@ class TestVerify:
         p = tmp_path / "p1.scn"
         p.write_text(text)
         assert cli.main(["verify", str(p)]) == cli.EXIT_NOT_CERTIFIED
+
+    @pytest.mark.parametrize("p1,verify_code,gains_code", [
+        ("1 2 0 ; 0 1 0 ; 0 0 1", cli.EXIT_PARSE, cli.EXIT_PARSE),
+        ("1 0 ; 0 1", cli.EXIT_PARSE, cli.EXIT_PARSE),
+        ("1 0 0 ; 0 -1 0 ; 0 0 1", cli.EXIT_NOT_CERTIFIED, cli.EXIT_OK),
+    ])
+    def test_p1_checked_on_load(self, tmp_path, capsys, p1, verify_code,
+                                gains_code):
+        # shape and symmetry are load errors for every verb; definiteness
+        # is verify's verdict
+        text = default_scenario_text().replace(
+            "theta_design = 0.5", f"P1 = {p1}\ntheta_design = 0.5")
+        line = text.splitlines().index(f"P1 = {p1}") + 1
+        p = tmp_path / "p1.scn"
+        p.write_text(text)
+        assert cli.main(["verify", str(p)]) == verify_code
+        assert cli.main(["gains", str(p)]) == gains_code
+        err = capsys.readouterr().err
+        if gains_code == cli.EXIT_OK:
+            assert err == ""
+        else:
+            assert err == (f"error: line {line}: P1 must be a symmetric "
+                           "3x3 matrix\n") * 2
 
     def test_auto_weight_certified(self, tmp_path):
         text = default_scenario_text().replace(

@@ -1,8 +1,10 @@
 """The generated evaluation code against the references in oracles.py:
 expression functions against the tree walker, the engine's right-hand side
-against the loop version, value for value bit for bit (so +0.0 and -0.0
-differ) or exception for exception (type and message)."""
+against the loop version and its integration loop against numerics.rk4_step
+over that, value for value bit for bit (so +0.0 and -0.0 differ) or
+exception for exception (type and message)."""
 
+import dataclasses
 import linecache
 import math
 import random
@@ -18,10 +20,11 @@ from ftcsim.exprlang import (BinOp, Call, DomainError, Literal, Neg, StateVar,
                              TimeVar, compile_expr, parse)
 from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness)
+from ftcsim.numerics import NonFiniteDerivative
 from ftcsim.plant import DisturbanceChannel, LinearCore, NonlinearPair, ReferenceModel
 
-from closed_loop import pack, rhs_for
-from oracles import LoopRhs, walk
+from closed_loop import pack, rhs_for, scalar_decay_scenario
+from oracles import LoopRhs, loop_run, walk
 from test_exprlang import CORPUS, DOMAIN_ERRORS
 
 
@@ -35,6 +38,12 @@ def outcome(fn, *args):
 
 
 def bits(value):
+    if isinstance(value, engine.SimTrace):
+        return tuple(bits(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return (value.shape, b"".join(struct.pack("<d", v)
+                                      for v in value.ravel().tolist()))
     if isinstance(value, (list, tuple)):
         return tuple(bits(v) for v in value)
     return (type(value), struct.pack("<d", value))
@@ -190,12 +199,95 @@ class TestRhsAgainstLoops:
             t = times[k % len(times)] if k < 14 else float(rng.uniform(0, 3))
             want = outcome(oracle.full, t, z)
             assert outcome(rhs.full, t, z) == want, (t, z)
-            derivative = ("ok", want[1][0]) if want[0] == "ok" else want
-            assert outcome(rhs.deriv, t, z) == derivative
             kinds.add(want[1] if want[0] == "raise" else "ok")
         # the floor on g and the sqrt domain are both exercised
         assert kinds == ({"ok"} if sparse
                          else {"ok", F.InputGainTooSmall, DomainError})
+
+
+# h = 0.0003 and at = 0.3003 pass the grid check, but 1001 * 0.0003 lands
+# just below 0.3003, so the events switch on between the stages of a step;
+# the loop must follow the oracle there as well
+OFF_GRID = FaultSchedule((
+    LossOfEffectiveness(at=0.3003, theta=0.45),
+    AdditiveActuator(at=0.3003, signal=parse("0.3*sin(3*t)", 0)),
+    ExternalDisturbance(at=0.3003, signal=parse("1", 0))))
+
+
+def assert_loop_matches_oracle(s):
+    """engine.run and oracles.loop_run give bit-identical traces, or raise
+    the same exception with the same message; returns the outcome."""
+    want = outcome(loop_run, s)
+    assert outcome(engine.run, s) == want
+    return want
+
+
+class TestLoopAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("channel", ["matched", "constant"])
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["rich", "sparse"])
+    def test_scenario_grid(self, mode, channel, n, sparse):
+        s = oracle_scenario(n, mode, channel, seed=n, sparse=sparse)
+        for h in (0.5, 0.125, 0.01):
+            assert_loop_matches_oracle(dataclasses.replace(s, h=h))
+        if n == 3:
+            assert assert_loop_matches_oracle(dataclasses.replace(
+                s, h=0.0003, t_end=0.33, schedule=OFF_GRID))[0] == "ok"
+
+
+def scalar(**kw):
+    """The scalar decay scenario of closed_loop with f, g given as sources."""
+    nl = NonlinearPair(f=parse(kw.pop("f", "0"), 1), g=parse(kw.pop("g", "1"), 1))
+    return scalar_decay_scenario(nl=nl, **kw)
+
+
+class TestLoopAborts:
+    def test_domain_error_mid_step(self):
+        # the second stage of the step from 1.5 evaluates log(0)
+        s = scalar(f="log(1.75 - t)", t_end=3.0, h=0.5)
+        assert assert_loop_matches_oracle(s) == (
+            "raise", DomainError,
+            "log of non-positive value 0.0 (during step starting at t=1.5)")
+
+    def test_input_gain_too_small_unwrapped(self):
+        # the fourth stage of the step from 0.75 has g(1.0) = 0
+        s = scalar(g="1 - t", t_end=2.0, h=0.25)
+        assert assert_loop_matches_oracle(s) == (
+            "raise", F.InputGainTooSmall,
+            "|g|=0.000e+00 below floor 1.000e-06 at t=1.0")
+
+    def test_non_finite_stage(self):
+        # h A = 10: x_f grows about 645-fold per step, and the fourth stage
+        # (about 3e5 x_f) overflows before the state does
+        s = scalar(core=LinearCore(A=[[1000.0]], b=[1.0], C=[[1.0]]),
+                   ref=ReferenceModel(A_d=[[-1.0]], B_d=[1.0]),
+                   t_end=2.0, h=0.01, mode="faulty_no_va",
+                   x_f0=np.array([2.0]))
+        assert assert_loop_matches_oracle(s) == (
+            "raise", NonFiniteDerivative,
+            "non-finite derivative near t=1.08 "
+            "(during step starting at t=1.08)")
+
+    def test_finite_stages_overflowing_state(self):
+        # every stage of x_f' is about 1e308, so k1 + 2 k2 overflows
+        s = scalar(channel=F.DisturbanceChannel(mode="constant", E=[1.0]),
+                   schedule=FaultSchedule((
+                       ExternalDisturbance(at=0.0, signal=parse("1e308", 0)),)),
+                   t_end=0.01, mode="faulty_no_va")
+        assert assert_loop_matches_oracle(s) == (
+            "raise", NonFiniteDerivative, "state diverged during step at t=0.0")
+
+    def test_finite_elements_with_overflowing_sum_continue(self):
+        # x_d, x_hat and x_f near 1e308 barely move, but their sum is inf
+        slow = dict(core=LinearCore(A=[[-1e-3]], b=[1.0], C=[[1.0]]),
+                    ref=ReferenceModel(A_d=[[-1e-3]], B_d=[1.0]))
+        s = scalar(x_d0=np.array([1e308]), x_hat0=np.array([1e308]),
+                   t_end=0.01, **slow)
+        assert assert_loop_matches_oracle(s)[0] == "ok"
+        tr = engine.run(s)
+        assert tr.x_hat.shape == (11, 1) and np.isfinite(tr.x_hat).all()
+        assert not math.isfinite(float(tr.x_d[-1, 0]) + float(tr.x_hat[-1, 0]))
 
 
 class TestGeneratedSource:
@@ -211,6 +303,21 @@ class TestGeneratedSource:
         assert frames[0].line.endswith(" = _log(x_hat0)")
         assert linecache.getline(filename, frames[0].lineno).strip() == frames[0].line
         assert frames[0].line in rhs.source
+
+    def test_traceback_shows_generated_loop_line(self):
+        s = scalar(f="log(1.75 - t)", t_end=3.0, h=0.5)
+        with pytest.raises(DomainError) as exc_info:
+            engine.run(s)
+        outer = traceback.extract_tb(exc_info.value.__traceback__)[-1]
+        inner = traceback.extract_tb(exc_info.value.__cause__.__traceback__)
+        inner = [fr for fr in inner if fr.filename == outer.filename]
+        assert outer.filename.startswith("<ftcsim rhs ")
+        assert outer.name == "integrate" and len(inner) == 1
+        assert inner[0].name == "integrate"
+        assert outer.line.startswith("raise _DomainError(")
+        assert inner[0].line.endswith(" = _log(v1)")
+        for fr in (outer, inner[0]):
+            assert linecache.getline(fr.filename, fr.lineno).strip() == fr.line
 
     def test_scenario_text_never_enters_source(self, stock):
         nl = NonlinearPair(f=parse("0.05*sin(x3) + 1e999*0", 3), g=stock.nl.g)

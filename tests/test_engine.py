@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ftcsim as F
-from ftcsim import engine
+from ftcsim import engine, exprlang
 from ftcsim.controller import InputGainTooSmall
 from ftcsim.exprlang import DomainError, parse
 from ftcsim.faults import (AdditiveActuator, ExternalDisturbance,
@@ -112,25 +112,20 @@ class TestAgainstNumpyLoop:
                                   getattr(want, field.name)), field.name
 
     def test_four_rhs_calls_per_step(self, stock, monkeypatch):
-        # one recording call of full per row plus three deriv stages per
-        # step: RK4 reuses the recorded derivative as its first stage
+        # one recording evaluation per row plus three more stages per step:
+        # RK4 reuses the recorded derivative as its first stage. With f and
+        # g free of sin and r = sin(t), each evaluation calls sin once.
         calls = 0
 
-        def counted(fn):
-            def call(t, z):
-                nonlocal calls
-                calls += 1
-                return fn(t, z)
-            return call
+        def counting_sin(a):
+            nonlocal calls
+            calls += 1
+            return math.sin(a)
 
-        class CountedRhs(engine._CompiledRhs):
-            def __init__(self, s):
-                super().__init__(s)
-                self.full = counted(self.full)
-                self.deriv = counted(self.deriv)
-
-        monkeypatch.setattr(engine, "_CompiledRhs", CountedRhs)
-        s = dataclasses.replace(stock, t_end=0.25)
+        monkeypatch.setitem(exprlang._FUNCTIONS, "sin", counting_sin)
+        nl = NonlinearPair(f=parse("0.05*x3", 3), g=parse("4 + 0.5*t", 3))
+        s = dataclasses.replace(stock, nl=nl, r_signal=parse("sin(t)", 0),
+                                t_end=0.25)
         F.run(s)
         assert calls == 4 * s.n_steps + 1
 

@@ -91,6 +91,8 @@ DOMAIN_ERRORS = {
     "-1e308-1e308": "result is not finite",
     "log(-1)/sqrt(-1)": "log of non-positive value -1.0",
     "log(-1)/0": "log of non-positive value -1.0",
+    "cos(1e999)": "cos of non-finite value inf",
+    "tan(-1e999)": "tan of non-finite value -inf",
 }
 
 # malformed input -> (byte offset of the offending token, error class)
@@ -163,6 +165,18 @@ class TestEval:
             with pytest.raises(DomainError) as exc_info:
                 fn()
             assert str(exc_info.value) == DOMAIN_ERRORS[src]
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_trig_of_non_finite_state_reported(self, name, value):
+        # math.sin(inf) raises a bare ValueError and math.sin(nan) returns
+        # nan; both must surface as the DomainError the engine reports
+        e = parse(f"0.5*{name}(x2) + 1", 2)
+        for fn in (lambda: evaluate(e, 0.0, [0.0, value]),
+                   lambda: compile_expr(e)(0.0, [0.0, value])):
+            with pytest.raises(DomainError) as exc_info:
+                fn()
+            assert str(exc_info.value) == f"{name} of non-finite value {value!r}"
 
     def test_dimension_mismatch_rejected(self):
         e = parse("x1", 1)

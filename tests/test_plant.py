@@ -27,6 +27,17 @@ class TestLinearCore:
         with pytest.raises(ModelError):
             LinearCore(A=np.eye(2), b=[1.0, 0.0, 0.0], C=[[1.0, 0.0]])
 
+    @pytest.mark.parametrize("field", ["A", "b", "C"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, field, value):
+        # rejected by name before the controllability test, whose SVD
+        # fails on NaN with numpy's LinAlgError
+        parts = dict(A=[[0.0, 1.0], [-2.0, -3.0]], b=[0.0, 1.0], C=[[1.0, 0.0]])
+        parts[field] = np.array(parts[field])
+        parts[field].flat[0] = value
+        with pytest.raises(ModelError, match=f"^{field} must be finite$"):
+            LinearCore(**parts)
+
     def test_controllability_matches_exact_rank(self):
         # integer (A, b); every other pair is made uncontrollable: A block
         # upper triangular with b zero in the lower block, then permuted

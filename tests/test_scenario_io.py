@@ -122,6 +122,24 @@ class TestLoadErrors:
         with pytest.raises(ScenarioError, match="positive definite"):
             loads(text)
 
+    @pytest.mark.parametrize("p1", ["1 2 0 ; 0 1 0 ; 0 0 1", "1 0 ; 0 1",
+                                    "1 0 0 ; 0 1 0 ; 0 0 1 ; 0 0 0"])
+    def test_bad_p1_reports_line(self, p1):
+        text = self.base().replace("theta_design = 0.5",
+                                   f"P1 = {p1}\ntheta_design = 0.5")
+        line = text.splitlines().index(f"P1 = {p1}") + 1
+        with pytest.raises(ScenarioError) as e:
+            loads(text)
+        assert str(e.value) == f"line {line}: P1 must be a symmetric 3x3 matrix"
+        assert e.value.line == line
+
+    def test_p1_asymmetry_within_tolerance_loads(self):
+        # the same 1e-9 tolerance as every other symmetry check
+        text = self.base().replace(
+            "theta_design = 0.5",
+            "P1 = 1 1e-10 0 ; 0 1 0 ; 0 0 1\ntheta_design = 0.5")
+        assert loads(text).P1[0, 1] == 1e-10
+
     def test_unaligned_event_rejected(self):
         text = self.base().replace("at = 15 kind", "at = 15.0005 kind")
         with pytest.raises(ScenarioError):
