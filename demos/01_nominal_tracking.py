@@ -38,8 +38,7 @@ print("the output settles at the reference model's DC value "
       f"y = {tr.y_d[-1, 0]:.4f}")
 
 svgplot.write_chart(
-    out_dir / "nominal_tracking.svg",
-    [("desired output", tr.t, tr.y_d[:, 0]),
-     ("nominal output", tr.t, tr.y_hat[:, 0])],
+    out_dir / "nominal_tracking.svg", tr.t,
+    [("desired output", tr.y_d[:, 0]), ("nominal output", tr.y_hat[:, 0])],
     "Healthy loop under a unit step", y_label="y")
 print(f"\nwrote {out_dir / 'nominal_tracking.svg'}")

@@ -37,8 +37,7 @@ for ev in m.events:
     print(f"  event t={ev.at:>4.0f}s ({ev.kind:<11s}) peak={ev.peak:.4f}  {rec}")
 
 svgplot.write_chart(
-    out_dir / "no_reconfiguration.svg",
-    [("desired output", tr.t, tr.y_d[:, 0]),
-     ("faulty output", tr.t, tr.y_f[:, 0])],
+    out_dir / "no_reconfiguration.svg", tr.t,
+    [("desired output", tr.y_d[:, 0]), ("faulty output", tr.y_f[:, 0])],
     "Faulty loop without reconfiguration", y_label="y")
 print(f"\nwrote {out_dir / 'no_reconfiguration.svg'}")

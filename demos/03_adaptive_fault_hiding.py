@@ -44,15 +44,14 @@ print(f"final parameters: M = {np.round(tr.M[-1], 4)}, "
       f"N = {tr.N[-1]:.4f}, d_hat = {tr.d_hat[-1]:.4f}")
 
 svgplot.write_chart(
-    out_dir / "fault_hiding_output.svg",
-    [("desired output", tr.t, tr.y_d[:, 0]),
-     ("faulty output, reconfigured", tr.t, tr.y_f[:, 0])],
+    out_dir / "fault_hiding_output.svg", tr.t,
+    [("desired output", tr.y_d[:, 0]),
+     ("faulty output, reconfigured", tr.y_f[:, 0])],
     "Faulty loop behind the adaptive virtual actuator", y_label="y")
 svgplot.write_chart(
-    out_dir / "adaptive_parameters.svg",
-    [("M1", tr.t, tr.M[:, 0]), ("M2", tr.t, tr.M[:, 1]),
-     ("M3", tr.t, tr.M[:, 2]), ("N", tr.t, tr.N),
-     ("dhat", tr.t, tr.d_hat)],
+    out_dir / "adaptive_parameters.svg", tr.t,
+    [("M1", tr.M[:, 0]), ("M2", tr.M[:, 1]), ("M3", tr.M[:, 2]),
+     ("N", tr.N), ("dhat", tr.d_hat)],
     "Adaptive parameters", y_label="value")
 print(f"\nwrote {out_dir / 'fault_hiding_output.svg'}")
 print(f"wrote {out_dir / 'adaptive_parameters.svg'}")

@@ -93,30 +93,29 @@ def _write_run_outputs(tr: SimTrace, s: Scenario, m: Metrics, out_dir: Path) -> 
             fh.write("\n")
     (out_dir / "metrics.txt").write_text(render_metrics(m), encoding="utf-8")
 
-    t = tr.t
     l = tr.y_d.shape[1]
     out_series = []
     for j in range(l):
         suffix = "" if l == 1 else f" {j + 1}"
-        out_series += [(f"desired{suffix}", t, tr.y_d[:, j]),
-                       (f"nominal{suffix}", t, tr.y_hat[:, j]),
-                       (f"faulty{suffix}", t, tr.y_f[:, j])]
-    svgplot.write_chart(out_dir / "output.svg", out_series,
+        out_series += [(f"desired{suffix}", tr.y_d[:, j]),
+                       (f"nominal{suffix}", tr.y_hat[:, j]),
+                       (f"faulty{suffix}", tr.y_f[:, j])]
+    svgplot.write_chart(out_dir / "output.svg", tr.t, out_series,
                         "Plant outputs", y_label="y")
     n = tr.x_d.shape[1]
     st_series = []
     for i in range(n):
-        st_series += [(f"x{i + 1} nominal", t, tr.x_hat[:, i]),
-                      (f"x{i + 1} faulty", t, tr.x_f[:, i])]
-    svgplot.write_chart(out_dir / "states.svg", st_series,
+        st_series += [(f"x{i + 1} nominal", tr.x_hat[:, i]),
+                      (f"x{i + 1} faulty", tr.x_f[:, i])]
+    svgplot.write_chart(out_dir / "states.svg", tr.t, st_series,
                         "Nominal and faulty states", y_label="x")
-    xt_series = [(f"xtilde{i + 1}", t, tr.x_tilde[:, i]) for i in range(n)]
-    xt_series.append(("norm", t, np.linalg.norm(tr.x_tilde, axis=1)))
-    svgplot.write_chart(out_dir / "xtilde.svg", xt_series,
+    xt_series = [(f"xtilde{i + 1}", tr.x_tilde[:, i]) for i in range(n)]
+    xt_series.append(("norm", np.linalg.norm(tr.x_tilde, axis=1)))
+    svgplot.write_chart(out_dir / "xtilde.svg", tr.t, xt_series,
                         "State difference faulty - nominal", y_label="xtilde")
-    ad_series = [(f"M{i + 1}", t, tr.M[:, i]) for i in range(n)]
-    ad_series += [("N", t, tr.N), ("dhat", t, tr.d_hat)]
-    svgplot.write_chart(out_dir / "adaptation.svg", ad_series,
+    ad_series = [(f"M{i + 1}", tr.M[:, i]) for i in range(n)]
+    ad_series += [("N", tr.N), ("dhat", tr.d_hat)]
+    svgplot.write_chart(out_dir / "adaptation.svg", tr.t, ad_series,
                         "Adaptive parameters", y_label="value")
 
 

@@ -18,6 +18,7 @@ Modes:
 
 from __future__ import annotations
 
+import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -82,9 +83,8 @@ class Scenario:
         # written so that NaN fails too
         if not (0.0 < self.t_end < math.inf and 0.0 < self.h < math.inf):
             raise ValueError("t_end and h must be positive and finite")
-        ratio = self.t_end / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError("t_end must be an integer multiple of h")
+        if self.n_steps < 1 or not faults.on_grid(self.t_end, self.h):
+            raise ValueError("t_end must be a positive integer multiple of h")
         if not 0.0 < self.eps_band < math.inf:
             raise ValueError("eps_band must be positive and finite")
         faults.check_grid_alignment(self.schedule, self.h)
@@ -329,7 +329,10 @@ def run(s: Scenario) -> SimTrace:
     z = (s.x_d0.tolist() + s.x_hat0.tolist() + x_f0.tolist()
          + [0.0] * n + [1.0, 0.0])
     rec = array("d")
-    _CompiledRhs(s).integrate(z, steps, s.h, rec)
+    rhs = _CompiledRhs(s)
+    rhs.integrate(z, steps, s.h, rec)
+    # kept on an abort only, so that its traceback shows the generated line
+    linecache.cache.pop(rhs.integrate.__code__.co_filename, None)
     rows = np.frombuffer(rec).reshape(steps + 1, 4 * n + 4)
     x_d, x_hat, x_f, M = (rows[:, i * n:(i + 1) * n] for i in range(4))
     Ct = s.core.C.T

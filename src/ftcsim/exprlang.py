@@ -319,7 +319,9 @@ def _apply_pow(base: float, expo: float) -> float:
         raise DomainError("zero base with negative exponent")
     try:
         return _check_finite(math.pow(base, expo))
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise DomainError(f"pow overflow at {base!r}^{expo!r}") from exc
+    except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
 
@@ -327,7 +329,7 @@ def _exp(a: float) -> float:
     try:
         return _check_finite(math.exp(a))
     except OverflowError as exc:
-        raise DomainError(str(exc)) from exc
+        raise DomainError(f"exp overflow at {a!r}") from exc
 
 
 def _log(a: float) -> float:

@@ -82,11 +82,16 @@ class FaultSchedule:
         return [e.at for e in self.events]
 
 
+def on_grid(t: float, h: float) -> bool:
+    """Whether the finite time t is an integer multiple of the step h."""
+    ratio = t / h
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+
+
 def check_grid_alignment(sched: FaultSchedule, h: float) -> None:
     """Event times must sit on the integration grid (integer multiples of h)."""
     for ev in sched.events:
-        ratio = ev.at / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
+        if not on_grid(ev.at, h):
             raise ScheduleError(
                 f"event at t={ev.at} is not an integer multiple of the step "
                 f"h={h}; align events to the integration grid")

@@ -1,5 +1,8 @@
-"""Self-contained SVG line charts.
+"""Self-contained SVG line charts over one time axis.
 
+Every chart plots labelled series against a single time column t, its x
+axis labelled `t [s]`. Above _MAX_POINTS samples a chart draws every
+stride-th sample, the same ones in each series, and always the last.
 Plain polyline plots with auto-scaled axes and tick labels at multiples of
 a 1/2/5 x 10^k step. No external resources, scripts or fonts referenced,
 so the files render anywhere and diff cleanly.
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 960, 520
@@ -17,11 +22,11 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50  # margins
 _MAX_POINTS = 2000
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    """Tick step 1, 2 or 5 times a power of ten giving ~target intervals."""
+def _nice_step(span: float) -> float:
+    """Tick step 1, 2 or 5 times a power of ten giving about 6 intervals."""
     if span <= 0.0:
         return 1.0
-    raw = span / target
+    raw = span / 6
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if power * mult >= raw:
@@ -48,24 +53,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _thin(xs, ys):
-    n = len(xs)
-    if n <= _MAX_POINTS:
-        return xs, ys
-    stride = (n - 1) // (_MAX_POINTS - 1) + 1
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return [xs[i] for i in idx], [ys[i] for i in idx]
-
-
-def line_chart(series: list[tuple[str, "list[float]", "list[float]"]],
-               title: str, x_label: str = "t [s]", y_label: str = "") -> str:
-    """Render labelled (xs, ys) series to an SVG document string."""
-    xs_all = [float(v) for _, xs, _ in series for v in xs]
-    ys_all = [float(v) for _, _, ys in series for v in ys]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+def write_chart(path, t: np.ndarray, series: list[tuple[str, np.ndarray]],
+                title: str, y_label: str = "") -> None:
+    """Write an SVG file plotting each (label, ys) series against t."""
+    x_lo, x_hi = float(t.min()), float(t.max())
+    y_lo = min(float(ys.min()) for _, ys in series)
+    y_hi = max(float(ys.max()) for _, ys in series)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -76,11 +69,17 @@ def line_chart(series: list[tuple[str, "list[float]", "list[float]"]],
     iw = _W - _ML - _MR
     ih = _H - _MT - _MB
 
-    def px(x: float) -> float:
+    # elementwise on arrays, in the same operation order as on one float
+    def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * iw
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + (y_hi - y) / (y_hi - y_lo) * ih
+
+    n = len(t)
+    stride = 1 if n <= _MAX_POINTS else (n - 1) // (_MAX_POINTS - 1) + 1
+    idx = np.append(np.arange(0, n - 1, stride), n - 1)
+    xs = [f"{x:.2f}" for x in px(t[idx]).tolist()]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -111,18 +110,17 @@ def line_chart(series: list[tuple[str, "list[float]", "list[float]"]],
         parts.append(f'<text x="{_ML - 8}" y="{Y + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{_fmt_tick(v)}</text>')
     parts.append(f'<text x="{_ML + iw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>')
+                 f'font-family="sans-serif" font-size="12">t [s]</text>')
     if y_label:
         parts.append(f'<text x="18" y="{_MT + ih / 2:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 18 {_MT + ih / 2:.1f})">'
                      f'{escape(y_label)}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        xs_t, ys_t = _thin(list(xs), list(ys))
-        points = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
-                          for x, y in zip(xs_t, ys_t))
+        points = " ".join(f"{x},{y:.2f}"
+                          for x, y in zip(xs, py(ys[idx]).tolist()))
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.3"/>')
         ly = _MT + 16 + 16 * i
@@ -133,11 +131,6 @@ def line_chart(series: list[tuple[str, "list[float]", "list[float]"]],
                      f'font-size="12">{escape(label)}</text>')
 
     parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def write_chart(path, series, title: str, x_label: str = "t [s]",
-                y_label: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_chart(series, title, x_label, y_label))
+        fh.write("\n".join(parts))
         fh.write("\n")

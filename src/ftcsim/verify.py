@@ -6,8 +6,8 @@ A positive definite P certifies stability of A when
 
 is itself positive definite. check_condition evaluates that test for a
 given P and reports the eigenvalues of Q; synthesize_p builds a certified
-P directly from the Lyapunov equation A^T P + P A = -Q (default Q = I),
-which exists exactly when A is Hurwitz.
+P directly from the Lyapunov equation A^T P + P A = -I, which exists
+exactly when A is Hurwitz.
 
 A failed check is a report, not an error: a P that only yields a
 semidefinite Q can still serve as an adaptation weight, it just carries
@@ -67,17 +67,14 @@ def check_condition(A: np.ndarray, P: np.ndarray,
     )
 
 
-def synthesize_p(A: np.ndarray, Q: np.ndarray | None = None,
-                 label: str = LABEL_NOMINAL) -> tuple[np.ndarray, ConditionReport]:
-    """Solve A^T P + P A = -Q for P and report the resulting certificate.
+def synthesize_p(A: np.ndarray) -> tuple[np.ndarray, ConditionReport]:
+    """Solve A^T P + P A = -I for P and report the resulting certificate.
 
     Raises numerics.SingularSystem when A is not Hurwitz-compatible.
     """
     A = np.asarray(A, dtype=float)
-    if Q is None:
-        Q = np.eye(A.shape[0])
-    P = numerics.solve_lyapunov(A, Q)
-    return P, check_condition(A, P, label)
+    P = numerics.solve_lyapunov(A, np.eye(A.shape[0]))
+    return P, check_condition(A, P)
 
 
 def render_report(rep: ConditionReport) -> str:

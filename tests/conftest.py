@@ -62,3 +62,18 @@ def p2():
 @pytest.fixture(scope="session")
 def singular_p():
     return SINGULAR_P_ROWS.copy()
+
+
+@pytest.fixture
+def short_scenario(tmp_path):
+    """Stock system trimmed to 2 s with an early fault, for fast CLI runs."""
+    text = scenario_io.default_scenario_text()
+    text = text.replace("t_end = 40", "t_end = 2")
+    text = text.replace("at = 15 kind = loss theta = 0.65",
+                        "at = 1 kind = loss theta = 0.65")
+    text = text.replace("at = 20 kind = disturbance signal = 1",
+                        "at = 1.5 kind = disturbance signal = 1")
+    text = text.replace("at = 25 kind = additive signal = 0.5*sin(2*t)", "")
+    path = tmp_path / "short.scn"
+    path.write_text(text)
+    return path

@@ -7,21 +7,6 @@ from ftcsim import cli, scenario_io
 from ftcsim.scenario_io import default_scenario_text
 
 
-@pytest.fixture
-def short_scenario(tmp_path):
-    """Stock system trimmed to 2 s with an early fault, for fast CLI runs."""
-    text = default_scenario_text()
-    text = text.replace("t_end = 40", "t_end = 2")
-    text = text.replace("at = 15 kind = loss theta = 0.65",
-                        "at = 1 kind = loss theta = 0.65")
-    text = text.replace("at = 20 kind = disturbance signal = 1",
-                        "at = 1.5 kind = disturbance signal = 1")
-    text = text.replace("at = 25 kind = additive signal = 0.5*sin(2*t)", "")
-    path = tmp_path / "short.scn"
-    path.write_text(text)
-    return path
-
-
 class TestRun:
     def test_artifacts_written(self, short_scenario, tmp_path):
         out = tmp_path / "out"
@@ -137,6 +122,18 @@ class TestRun:
         assert code == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert f"{short_scenario}: error: eps_band must be positive" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_shorter_than_one_step_is_parse_error(self, tmp_path, capsys):
+        # t_end / h = 1e-10 passes the multiple-of-h test but rounds to 0 steps
+        text = default_scenario_text().replace("t_end = 40", "t_end = 1e-13")
+        p = tmp_path / "tiny.scn"
+        p.write_text(text)
+        code = cli.main(["run", str(p), "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        run_line = text.splitlines().index("[run]") + 1
+        assert (f"{p}: error: line {run_line}: t_end must be a positive "
+                "integer multiple of h") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_matching_violation_is_numerical_abort(self, tmp_path, capsys):

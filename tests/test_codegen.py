@@ -319,6 +319,14 @@ class TestGeneratedSource:
         for fr in (outer, inner[0]):
             assert linecache.getline(fr.filename, fr.lineno).strip() == fr.line
 
+    def test_successful_runs_drop_their_source(self):
+        def rhs_entries():
+            return {f for f in linecache.cache if f.startswith("<ftcsim rhs ")}
+        before = rhs_entries()
+        for mode in engine.MODES:
+            engine.run(scalar(f="0.1*sin(x1)", t_end=1.0, h=0.5, mode=mode))
+        assert rhs_entries() == before
+
     def test_scenario_text_never_enters_source(self, stock):
         nl = NonlinearPair(f=parse("0.05*sin(x3) + 1e999*0", 3), g=stock.nl.g)
         rhs = rhs_for(stock, nl=nl, r_signal="step(t)")

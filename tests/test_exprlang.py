@@ -84,8 +84,8 @@ DOMAIN_ERRORS = {
     "1/(t-2)": "division by zero",
     "(-2)^0.5": "negative base -2.0 with fractional exponent",
     "0^-1": "zero base with negative exponent",
-    "exp(1000)": "math range error",
-    "2^10000": "math range error",
+    "exp(1000)": "exp overflow at 1000.0",
+    "2^10000": "pow overflow at 2.0^10000.0",
     "1e300*1e300": "result is not finite",
     "1e308+1e308": "result is not finite",
     "-1e308-1e308": "result is not finite",
