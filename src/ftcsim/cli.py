@@ -172,13 +172,9 @@ def cmd_verify(args) -> int:
 
     s = loaded.scenario
     P1 = loaded.P1 if loaded.P1 is not None else s.adaptation.P
-    try:
-        rep1 = verify.check_condition(s.core.A, P1, verify.LABEL_NOMINAL)
-        rep2 = verify.check_condition(s.core.A, s.adaptation.P,
-                                      verify.LABEL_RECONFIG)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    rep1 = verify.check_condition(s.core.A, P1, verify.LABEL_NOMINAL)
+    rep2 = verify.check_condition(s.core.A, s.adaptation.P,
+                                  verify.LABEL_RECONFIG)
     print(verify.render_report(rep1))
     print(verify.render_report(rep2))
     if args.out:

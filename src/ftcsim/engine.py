@@ -83,7 +83,7 @@ class Scenario:
         # written so that NaN fails too
         if not (0.0 < self.t_end < math.inf and 0.0 < self.h < math.inf):
             raise ValueError("t_end and h must be positive and finite")
-        if self.n_steps < 1 or not faults.on_grid(self.t_end, self.h):
+        if not faults.on_grid(self.t_end, self.h) or self.n_steps < 1:
             raise ValueError("t_end must be a positive integer multiple of h")
         if not 0.0 < self.eps_band < math.inf:
             raise ValueError("eps_band must be positive and finite")
@@ -346,11 +346,10 @@ def run(s: Scenario) -> SimTrace:
     )
 
 
-def metrics(tr: SimTrace, s: Scenario, eps_band: float | None = None) -> Metrics:
-    """Summarize a completed trace: tail errors, per-event recovery, and
-    the ultimate bound computed with the trace-derived state bound."""
-    if eps_band is None:
-        eps_band = s.eps_band
+def metrics(tr: SimTrace, s: Scenario) -> Metrics:
+    """Summarize a completed trace: tail errors, per-event recovery within
+    s.eps_band, and the ultimate bound computed with the trace-derived
+    state bound."""
     t = tr.t
     tail = t >= 0.8 * s.t_end
     e_norm = np.linalg.norm(tr.e, axis=1)
@@ -369,7 +368,7 @@ def metrics(tr: SimTrace, s: Scenario, eps_band: float | None = None) -> Metrics
         window = dev[idx]
         # earliest time from which the deviation stays inside the band
         # through the rest of the window
-        inside = window <= eps_band
+        inside = window <= s.eps_band
         suffix_ok = np.flip(np.logical_and.accumulate(np.flip(inside)))
         hits = np.flatnonzero(suffix_ok)
         recovery = float(t[idx[hits[0]]] - ev.at) if hits.size else None

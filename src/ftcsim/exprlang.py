@@ -113,9 +113,6 @@ class Expr:
     n_states: int
     source: str = ""
 
-    def __call__(self, t: float, x: Sequence[float] = ()) -> float:
-        return evaluate(self, t, x)
-
     @cached_property
     def _closure(self) -> Callable[[float, Sequence[float]], float]:
         return _compile(self.node)
@@ -283,13 +280,16 @@ class _Parser:
 
 
 def node_depth(node: Node) -> int:
-    if isinstance(node, Neg):
-        return 1 + node_depth(node.operand)
-    if isinstance(node, BinOp):
-        return 1 + max(node_depth(node.left), node_depth(node.right))
-    if isinstance(node, Call):
-        return 1 + max(node_depth(a) for a in node.args)
-    return 1
+    # level by level, not by recursion: `a+a+...` is built by a loop, so a
+    # long chain is deeper than the interpreter stack
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for n in level for c in
+                 ((n.operand,) if isinstance(n, Neg) else
+                  (n.left, n.right) if isinstance(n, BinOp) else
+                  n.args if isinstance(n, Call) else ())]
+    return depth
 
 
 def parse(source: str, n_states: int) -> Expr:

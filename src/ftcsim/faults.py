@@ -77,15 +77,13 @@ class FaultSchedule:
         ordered = tuple(sorted(self.events, key=lambda e: e.at))
         object.__setattr__(self, "events", ordered)
 
-    @property
-    def times(self) -> list[float]:
-        return [e.at for e in self.events]
-
 
 def on_grid(t: float, h: float) -> bool:
-    """Whether the finite time t is an integer multiple of the step h."""
+    """Whether the finite time t is an integer multiple of the step h; an
+    infinite ratio (say 1e300 / 1e-300) is not."""
     ratio = t / h
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+    return (math.isfinite(ratio)
+            and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio)))
 
 
 def check_grid_alignment(sched: FaultSchedule, h: float) -> None:

@@ -11,6 +11,16 @@ entries. Fault lines carry their own key-value pairs, e.g.
 Unknown sections or keys are rejected. `P = auto` in [adaptation] solves
 the Lyapunov equation A^T P + P A = -I for the weight instead of reading
 rows. Lines starting with `#` are comments.
+
+Each key maps onto a field of a model class (LinearCore, NonlinearPair,
+ReferenceModel, DisturbanceChannel, AdaptationConfig, the fault events,
+Scenario), and the class owns that field's default and its checks: an
+optional key the file leaves out is not passed, and a class's ValueError
+is reported at the key's line. The optional keys are g_min, the whole
+[disturbance_channel] section and its mode and scale, theta_design,
+d_tilde_max, d_dot_max, and mode and eps_band in [run]. Two defaults are
+the file's own: x0_f is x0_hat, and P1 (the weight of the nominal check in
+`ftcsim verify`) is P.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, exprlang, numerics, verify
+from . import exprlang, numerics, verify
 from .engine import Scenario
 from .exprlang import Expr, ExprError
 from .faults import EVENT_KINDS, FaultSchedule, LossOfEffectiveness
@@ -60,7 +70,6 @@ class LoadedScenario:
 
     scenario: Scenario
     P1: np.ndarray | None  # optional separate weight for the nominal check
-    p_auto: bool           # whether P came from `P = auto`
 
 
 def _parse_number(text: str, line: int, key: str) -> float:
@@ -89,7 +98,7 @@ def _parse_vector(text: str, line: int, key: str) -> np.ndarray:
     return _parse_matrix(text, line, key).reshape(-1)
 
 
-def _parse_expr(text: str, n: int, line: int, key: str) -> Expr:
+def _parse_expr(text: str, line: int, key: str, n: int) -> Expr:
     try:
         return exprlang.parse(text, n)
     except ExprError as exc:
@@ -105,17 +114,19 @@ class _Raw:
         self.fault_lines: list[tuple[str, int]] = []
         self.section_lines: dict[str, int] = {}
 
-    def get(self, section: str, key: str, default: str | None = None
-            ) -> tuple[str, int]:
-        if key in self.values[section]:
-            return self.values[section][key]
-        if default is not None:
-            return default, self.section_lines.get(section, 0)
-        line = self.section_lines.get(section, 0)
-        raise ScenarioError(line, f"missing key {key!r} in [{section}]")
+    def get(self, section: str, key: str) -> tuple[str, int]:
+        if key not in self.values[section]:
+            raise ScenarioError(self.line(section, key),
+                                f"missing key {key!r} in [{section}]")
+        return self.values[section][key]
 
     def has(self, section: str, key: str) -> bool:
         return key in self.values[section]
+
+    def line(self, section: str, key: str) -> int:
+        """The key's line, or its section's header line when it is absent."""
+        return self.values[section].get(
+            key, (None, self.section_lines.get(section, 0)))[1]
 
 
 def _scan(text: str) -> _Raw:
@@ -150,6 +161,14 @@ def _scan(text: str) -> _Raw:
     return raw
 
 
+def _build(cls, line: int, **fields):
+    """cls(**fields), with the model's own ValueError reported at line."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ScenarioError(line, str(exc)) from exc
+
+
 def loads(text: str) -> LoadedScenario:
     """Parse scenario text; raises ScenarioError with a line number."""
     raw = _scan(text)
@@ -157,93 +176,76 @@ def loads(text: str) -> LoadedScenario:
         if required not in raw.section_lines:
             raise ScenarioError(0, f"missing section [{required}]")
 
-    val, line = raw.get("system", "n")
-    n = int(_parse_number(val, line, "n"))
-    if n <= 0:
-        raise ScenarioError(line, "n must be a positive integer")
+    def word(section, key):
+        return raw.get(section, key)[0]
+
+    def number(section, key):
+        return _parse_number(*raw.get(section, key), key)
 
     def matrix(section, key):
-        v, ln = raw.get(section, key)
-        return _parse_matrix(v, ln, key), ln
+        return _parse_matrix(*raw.get(section, key), key)
 
     def vector(section, key):
-        v, ln = raw.get(section, key)
-        return _parse_vector(v, ln, key), ln
+        return _parse_vector(*raw.get(section, key), key)
 
-    def number(section, key, default=None):
-        v, ln = raw.get(section, key, default)
-        return _parse_number(v, ln, key), ln
+    def expr(section, key, n_states):
+        return _parse_expr(*raw.get(section, key), key, n_states)
 
-    A, a_line = matrix("system", "A")
-    b, _ = vector("system", "b")
-    C, _ = matrix("system", "C")
-    try:
-        core = LinearCore(A=A, b=b, C=C)
-    except ValueError as exc:
-        raise ScenarioError(a_line, str(exc)) from exc
+    def optional(section, parse, *keys):
+        # a key the file leaves out is not passed on, so the model class's
+        # own default applies
+        return {key: parse(section, key) for key in keys
+                if raw.has(section, key)}
+
+    n = number("system", "n")
+    if n <= 0 or not n.is_integer():
+        raise ScenarioError(raw.line("system", "n"),
+                            "n must be a positive integer")
+    n = int(n)
+
+    a_line = raw.line("system", "A")
+    core = _build(LinearCore, a_line, A=matrix("system", "A"),
+                  b=vector("system", "b"), C=matrix("system", "C"))
     if core.n != n:
         raise ScenarioError(a_line, f"A is {core.n}x{core.n} but n = {n}")
 
-    f_src, f_line = raw.get("nonlinearity", "f")
-    g_src, g_line = raw.get("nonlinearity", "g")
-    g_min, _ = number("nonlinearity", "g_min", "1e-6")
-    try:
-        nl = NonlinearPair(f=_parse_expr(f_src, n, f_line, "f"),
-                           g=_parse_expr(g_src, n, g_line, "g"),
-                           g_min=g_min)
-    except ValueError as exc:
-        raise ScenarioError(g_line, str(exc)) from exc
+    nl = _build(NonlinearPair, raw.line("nonlinearity", "g"),
+                f=expr("nonlinearity", "f", n), g=expr("nonlinearity", "g", n),
+                **optional("nonlinearity", number, "g_min"))
+    ref = _build(ReferenceModel, raw.line("reference", "A_d"),
+                 A_d=matrix("reference", "A_d"), B_d=vector("reference", "B_d"))
+    r_signal = expr("reference", "r", 0)
 
-    A_d, ad_line = matrix("reference", "A_d")
-    B_d, _ = vector("reference", "B_d")
-    try:
-        ref = ReferenceModel(A_d=A_d, B_d=B_d)
-    except ValueError as exc:
-        raise ScenarioError(ad_line, str(exc)) from exc
-    r_src, r_line = raw.get("reference", "r")
-    r_signal = _parse_expr(r_src, 0, r_line, "r")
-
-    if "disturbance_channel" in raw.section_lines:
-        mode, mode_line = raw.get("disturbance_channel", "mode", "matched")
-        if mode == "matched":
-            scale, _ = number("disturbance_channel", "scale", "0")
-            channel = DisturbanceChannel(mode="matched", scale=scale)
-        elif mode == "constant":
-            E, _ = vector("disturbance_channel", "E")
-            channel = DisturbanceChannel(mode="constant", E=E)
-        else:
-            raise ScenarioError(mode_line, f"unknown channel mode {mode!r}")
+    # only the keys of the channel's mode are read; the class checks the mode
+    dc = "disturbance_channel"
+    channel_fields = optional(dc, word, "mode")
+    if channel_fields.get("mode", DisturbanceChannel.mode) == "constant":
+        channel_fields["E"] = vector(dc, "E")
     else:
-        channel = DisturbanceChannel(mode="matched", scale=0.0)
+        channel_fields.update(optional(dc, number, "scale"))
+    channel = _build(DisturbanceChannel, raw.line(dc, "mode"), **channel_fields)
 
-    gamma1, _ = number("adaptation", "gamma1")
-    gamma2, _ = number("adaptation", "gamma2")
-    gamma3, _ = number("adaptation", "gamma3")
+    rates = {key: number("adaptation", key)
+             for key in ("gamma1", "gamma2", "gamma3")}
     p_src, p_line = raw.get("adaptation", "P")
-    p_auto = p_src.strip() == "auto"
-    if p_auto:
+    if p_src == "auto":
         try:
-            P, _rep = verify.synthesize_p(core.A)
+            P = verify.synthesize_p(core.A)[0]
         except ValueError as exc:
             raise ScenarioError(p_line, f"P = auto failed: {exc}") from exc
     else:
         P = _parse_matrix(p_src, p_line, "P")
-    theta_design, _ = number("adaptation", "theta_design", "0.5")
-    d_tilde_max, _ = number("adaptation", "d_tilde_max", "0")
-    d_dot_max, _ = number("adaptation", "d_dot_max", "0")
-    try:
-        adaptation = AdaptationConfig(
-            gamma1=gamma1, gamma2=gamma2, gamma3=gamma3, P=P,
-            theta_design=theta_design, d_tilde_max=d_tilde_max,
-            d_dot_max=d_dot_max)
-    except ValueError as exc:
-        raise ScenarioError(p_line, str(exc)) from exc
+    adaptation = _build(
+        AdaptationConfig, p_line, P=P, **rates,
+        **optional("adaptation", number,
+                   "theta_design", "d_tilde_max", "d_dot_max"))
 
     P1 = None
     if raw.has("adaptation", "P1"):
-        P1, p1_line = matrix("adaptation", "P1")
+        P1 = matrix("adaptation", "P1")
         if P1.shape != (n, n) or np.max(abs(P1 - P1.T)) > numerics.SYMMETRY_TOL:
-            raise ScenarioError(p1_line, f"P1 must be a symmetric {n}x{n} matrix")
+            raise ScenarioError(raw.line("adaptation", "P1"),
+                                f"P1 must be a symmetric {n}x{n} matrix")
 
     events = []
     for text_line, lineno in raw.fault_lines:
@@ -264,33 +266,22 @@ def loads(text: str) -> LoadedScenario:
         else:
             if m.group("signal") is None:
                 raise ScenarioError(lineno, f"{kind} event needs signal = <expr>")
-            value = {"signal": _parse_expr(m.group("signal").strip(), 0, lineno,
-                                           "signal")}
-        try:
-            events.append(cls(at=at, **value))
-        except ValueError as exc:
-            raise ScenarioError(lineno, str(exc)) from exc
-    schedule = FaultSchedule(tuple(events))
+            value = {"signal": _parse_expr(m.group("signal").strip(), lineno,
+                                           "signal", 0)}
+        events.append(_build(cls, lineno, at=at, **value))
 
-    t_end, _ = number("run", "t_end")
-    h, _ = number("run", "h")
-    mode_val, mode_line = raw.get("run", "mode", engine.MODE_FAULTY_WITH_VA)
-    x_hat0, _ = vector("run", "x0_hat")
-    x_d0, _ = vector("run", "x0_d")
-    if raw.has("run", "x0_f"):
-        x_f0, _ = vector("run", "x0_f")
-    else:
-        x_f0 = x_hat0.copy()
-    eps_band, _ = number("run", "eps_band", "0.05")
-
-    try:
-        scenario = Scenario(
-            core=core, nl=nl, ref=ref, channel=channel, adaptation=adaptation,
-            schedule=schedule, r_signal=r_signal, x_hat0=x_hat0, x_f0=x_f0,
-            x_d0=x_d0, t_end=t_end, h=h, mode=mode_val, eps_band=eps_band)
-    except ValueError as exc:
-        raise ScenarioError(raw.section_lines["run"], str(exc)) from exc
-    return LoadedScenario(scenario=scenario, P1=P1, p_auto=p_auto)
+    t_end = number("run", "t_end")
+    h = number("run", "h")
+    x_hat0 = vector("run", "x0_hat")
+    x_f0 = vector("run", "x0_f") if raw.has("run", "x0_f") else x_hat0.copy()
+    scenario = _build(
+        Scenario, raw.section_lines["run"], core=core, nl=nl, ref=ref,
+        channel=channel, adaptation=adaptation,
+        schedule=FaultSchedule(tuple(events)), r_signal=r_signal,
+        x_hat0=x_hat0, x_f0=x_f0, x_d0=vector("run", "x0_d"), t_end=t_end,
+        h=h, **optional("run", word, "mode"),
+        **optional("run", number, "eps_band"))
+    return LoadedScenario(scenario=scenario, P1=P1)
 
 
 def load(path) -> LoadedScenario:
@@ -321,7 +312,7 @@ def _fmt_expr(e: Expr) -> str:
 def emit(loaded: LoadedScenario | Scenario) -> str:
     """Render a scenario back to file text; load(emit(load(f))) == load(f)."""
     if isinstance(loaded, Scenario):
-        loaded = LoadedScenario(scenario=loaded, P1=None, p_auto=False)
+        loaded = LoadedScenario(scenario=loaded, P1=None)
     s = loaded.scenario
     out = []
     out.append("[system]")

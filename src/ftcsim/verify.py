@@ -29,7 +29,6 @@ LABEL_RECONFIG = "Theorem5"   # ultimate boundedness of the reconfigured loop
 @dataclass(frozen=True)
 class ConditionReport:
     label: str
-    P_used: np.ndarray
     Q: np.ndarray
     eig_Q: np.ndarray
     Q_pd: bool
@@ -59,7 +58,6 @@ def check_condition(A: np.ndarray, P: np.ndarray,
     # the verdict is read off the reported spectrum, so the two agree
     return ConditionReport(
         label=label,
-        P_used=P,
         Q=Q,
         eig_Q=eig_Q,
         Q_pd=bool(eig_Q[0] > numerics.PD_TOL),

@@ -100,6 +100,37 @@ class TestRun:
                      "xtilde.svg", "adaptation.svg"):
             assert (out / "short" / name).exists()
 
+    @pytest.mark.parametrize("old,new,bad_key,message", [
+        # a left-deep chain is deeper than the interpreter stack
+        ("f = 0.05*sin(x3)", "f = " + "+".join(["0"] * 1500), "f",
+         "f: offset 0: expression tree deeper than 64"),
+        # t_end / h overflows to inf
+        ("t_end = 40\nh = 0.001", "t_end = 1e300\nh = 1e-300", "[run]",
+         "t_end must be a positive integer multiple of h"),
+        # at / h overflows to inf
+        ("at = 15 kind", "at = 1e306 kind", "[run]",
+         "event at t=1e+306 is not an integer multiple of the step h=0.001"),
+        ("n = 3", "n = 3.7", "n", "n must be a positive integer"),
+    ], ids=["deep_chain", "t_end_ratio", "event_ratio", "fractional_n"])
+    def test_rejected_file_does_not_stop_batch(self, short_scenario, tmp_path,
+                                               capsys, old, new, bad_key,
+                                               message):
+        text = default_scenario_text()
+        assert old in text
+        text = text.replace(old, new)
+        bad_line = next(i for i, line in enumerate(text.splitlines(), 1)
+                        if line.startswith(bad_key))
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        out = tmp_path / "batch"
+        code = cli.main(["run", str(bad), str(short_scenario), "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{bad}: error: line {bad_line}: {message}" in err
+        for name in ("trace.csv", "metrics.txt", "output.svg", "states.svg",
+                     "xtilde.svg", "adaptation.svg"):
+            assert (out / "short" / name).exists()
+
     def test_batch_exits_with_worst_code(self, short_scenario, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("[system]\nn = banana\n")

@@ -230,8 +230,8 @@ class TestMetrics:
     def test_unrecovered_event_flagged(self, stock):
         sched = FaultSchedule((LossOfEffectiveness(at=1.0, theta=0.3),))
         s = dataclasses.replace(stock, schedule=sched, t_end=4.0,
-                                mode="faulty_no_va")
-        m = F.metrics(F.run(s), s, eps_band=1e-6)
+                                mode="faulty_no_va", eps_band=1e-6)
+        m = F.metrics(F.run(s), s)
         assert m.events[0].recovery_time is None
         assert m.events[0].peak > 1e-6
 

@@ -211,6 +211,12 @@ class TestErrors:
         parse("(" * 60 + "1" + ")" * 60, 0)
         with pytest.raises(ExprSyntaxError):
             parse("(" * 70 + "1" + ")" * 70, 0)
+        # n terms make a tree n deep, and a 1500-term chain is deeper than
+        # the interpreter stack
+        parse("+".join(["1"] * 64), 0)
+        for terms in (65, 1500):
+            with pytest.raises(ExprSyntaxError, match="deeper than 64"):
+                parse("+".join(["1"] * terms), 0)
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 import ftcsim as F
 from ftcsim.faults import (EVENT_KINDS, AdditiveActuator, ExternalDisturbance,
                            FaultSchedule, LossOfEffectiveness, ScheduleError,
-                           check_grid_alignment)
+                           check_grid_alignment, on_grid)
 
 from closed_loop import applied_schedule
 
@@ -123,13 +123,18 @@ class TestValidation:
     def test_events_sorted_on_construction(self):
         sched = FaultSchedule((LossOfEffectiveness(at=9.0, theta=0.5),
                                LossOfEffectiveness(at=2.0, theta=0.8)))
-        assert sched.times == [2.0, 9.0]
+        assert [e.at for e in sched.events] == [2.0, 9.0]
 
     def test_grid_alignment(self):
         sched = FaultSchedule((LossOfEffectiveness(at=0.0015, theta=0.5),))
         with pytest.raises(ScheduleError):
             check_grid_alignment(sched, 1e-3)
         check_grid_alignment(sched, 5e-4)
+        # at / h overflows to inf
+        assert not on_grid(1e300, 1e-300)
+        sched = FaultSchedule((LossOfEffectiveness(at=1e306, theta=0.5),))
+        with pytest.raises(ScheduleError):
+            check_grid_alignment(sched, 1e-3)
 
 
 class TestScheduleEquivalence:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,14 @@ class TestLoadErrors:
             loads(text)
         assert "duplicate" in str(e.value)
 
+    def test_unknown_channel_mode_reports_line(self):
+        text = self.base().replace("mode = matched", "mode = sideways")
+        line = text.splitlines().index("mode = sideways") + 1
+        with pytest.raises(ScenarioError) as e:
+            loads(text)
+        assert str(e.value) == (f"line {line}: unknown disturbance channel "
+                                "mode 'sideways'")
+
     def test_bad_fault_line(self):
         text = self.base().replace("at = 15 kind = loss theta = 0.65",
                                    "at = 15 kind = loss")
@@ -182,11 +192,40 @@ class TestFeatures:
         loaded = loads(text)
         assert np.array_equal(loaded.scenario.x_f0, [1.0, 2.0, 3.0])
 
+    def test_omitted_optional_keys_take_class_defaults(self):
+        text = default_scenario_text()
+        for line in ("g_min = 1e-06", "theta_design = 0.5",
+                     "d_tilde_max = 2.5", "d_dot_max = 1", "x0_f = 0 0 0",
+                     "mode = faulty_with_va", "eps_band = 0.05",
+                     "[disturbance_channel]", "mode = matched", "scale = 0.5"):
+            assert f"\n{line}\n" in text
+            text = text.replace(f"\n{line}\n", "\n")
+        text = text.replace("x0_hat = 0 0 0", "x0_hat = 1 2 3")
+        assert "P1" not in text
+        loaded = loads(text)
+        s = loaded.scenario
+
+        def defaults(cls):
+            return {f.name: f.default for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING}
+
+        assert defaults(F.NonlinearPair) == {"g_min": s.nl.g_min}
+        assert defaults(F.DisturbanceChannel) == {
+            "mode": s.channel.mode, "E": s.channel.E,
+            "scale": s.channel.scale}
+        assert defaults(F.AdaptationConfig) == {
+            "theta_design": s.adaptation.theta_design,
+            "d_tilde_max": s.adaptation.d_tilde_max,
+            "d_dot_max": s.adaptation.d_dot_max}
+        assert defaults(F.Scenario) == {"mode": s.mode,
+                                        "eps_band": s.eps_band}
+        assert np.array_equal(s.x_f0, [1.0, 2.0, 3.0])
+        assert loaded.P1 is None
+
     def test_p_auto_synthesizes_certified_weight(self):
         text = default_scenario_text().replace(
             "P = 2.8 2.6 0.5 ; 2.6 7.1 1.8 ; 0.5 1.8 1.1", "P = auto")
         loaded = loads(text)
-        assert loaded.p_auto
         A = loaded.scenario.core.A
         P = loaded.scenario.adaptation.P
         assert np.max(np.abs(A.T @ P + P @ A + np.eye(3))) <= 1e-10
