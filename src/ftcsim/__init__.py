@@ -10,8 +10,8 @@ certificates involved.
 from .controller import (InputGainTooSmall, MatchingConditionViolated,
                          NominalGains, synthesize_gains)
 from .engine import (MODE_FAULTY_NO_VA, MODE_FAULTY_WITH_VA,
-                     MODE_NOMINAL_ONLY, Metrics, Scenario, SimTrace, metrics,
-                     run)
+                     MODE_NOMINAL_ONLY, Metrics, Scenario, SimTrace,
+                     TraceTooLarge, metrics, run)
 from .exprlang import (DomainError, Expr, ExprError, compile_expr, evaluate,
                        format_expr, parse)
 from .faults import (AdditiveActuator, ExternalDisturbance, FaultSchedule,

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine, scenario_io, svgplot, verify
 from .controller import (InputGainTooSmall, MatchingConditionViolated,
                          synthesize_gains)
-from .engine import Metrics, Scenario, SimTrace
+from .engine import Metrics, Scenario, SimTrace, TraceTooLarge
 from .exprlang import DomainError
 from .numerics import NonFiniteDerivative
 from .scenario_io import ScenarioError
@@ -139,7 +139,7 @@ def _run_one(path: str, mode: str | None, eps_band: float | None,
         print(f"{path}: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (InputGainTooSmall, NonFiniteDerivative, DomainError,
-            MatchingConditionViolated) as exc:
+            MatchingConditionViolated, TraceTooLarge) as exc:
         print(f"{path}: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,10 @@ MODE_NOMINAL_ONLY = "nominal_only"
 MODE_FAULTY_NO_VA = "faulty_no_va"
 MODE_FAULTY_WITH_VA = "faulty_with_va"
 MODES = (MODE_NOMINAL_ONLY, MODE_FAULTY_NO_VA, MODE_FAULTY_WITH_VA)
+
+
+class TraceTooLarge(ArithmeticError):
+    """A run's trace would not fit in the machine's physical memory."""
 
 
 @dataclass(frozen=True)
@@ -163,38 +168,49 @@ class _CompiledRhs:
     constants, and f, g, r and the fault signals are inlined through
     exprlang.Codegen. Every product and sum is kept, in the order of a
     plain loop with 0.0-seeded accumulators, so the results are
-    bit-identical to it (signed zeros included). One source holds the body
-    twice: `full(t, z)` returns (z', u, u_f), and `integrate(z, steps, h,
-    rec)` is run's whole RK4 loop, the state in locals and the four stages
-    inlined in numerics.rk4_step's operation order. Tracebacks show
-    `source`.
+    bit-identical to it, signed zeros, inf and NaN included: a 0.0 * x
+    term stays, since it turns an infinite x into NaN and can set the sign
+    of a zero sum. Only exact rewrites are made: 1.0 * x is written x, and
+    a + (-1.0) * x is written a - x.
+
+    `integrate(z, steps, h, rec)` is run's whole RK4 loop in
+    numerics.rk4_step's operation order, the state in locals and the four
+    stages inlined: stage 1 reads z itself, and each stage writes its
+    derivative straight into k1_, k2_, k3_ or k4_. The loop body is
+    value-numbered as one function (see Codegen), every stage under its
+    own names, so stage 3, which runs at the same t = tk + h/2 as stage
+    2, reuses what stage 2 computed from t alone: r, theta, the signal
+    sums, the time-only parts of f and g, and the |g| test when g depends
+    on t alone. `full(t, z)`, the same body once, returns (z', u, u_f);
+    run does not call it, so it is compiled on first use. Tracebacks show
+    `source`, which holds what has been compiled.
     """
 
     def __init__(self, s: Scenario):
-        gen = exprlang.Codegen()
-        gen.namespace.update(_InputGainTooSmall=InputGainTooSmall, _diverged=_diverged)
-        names, body, dz = _rhs_lines(s, gen)
-        zs, k1, k2, k3 = ([f"{stem}{i}" for i in range(len(names))]
-                          for stem in ("z", "k1_", "k2_", "k3_"))
+        self._scenario = s
+        gen = _codegen()
         join = ", ".join
-
-        def stage(t: str, step: str, ks: list[str], keep: list[str]):
-            """z' at time t and state z + step * ks (z for no step), kept in keep."""
-            inputs = [f"{z} + {step} * {k}" if step else z
-                      for z, k in zip(zs, ks)]
-            return ([f"t = {t}"] + [f"{a} = {b}" for a, b in zip(names, inputs)]
-                    + body + [f"{a} = {e}" for a, e in zip(keep, dz)])
-
-        loop = (stage("tk", "", zs, k1)
-                + [f"extend(({join(zs)}, u, u_f))", "if k == steps:", "    break"]
-                + stage("tk + h2", "h2", k1, k2) + stage("tk + h2", "h2", k2, k3)
-                + stage("tk + h", "h", k3, [])
-                + [f"{z} = {z} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + ({e}))"
-                   for z, a, b, c, e in zip(zs, k1, k2, k3, dz)])
+        names = _state_names(s.core.n)
+        zs = [f"z{i}" for i in range(len(names))]
+        loop, ks = [], []
+        for stage, t, step in ((1, "tk", ""), (2, "t2", "h2"), (3, "t2", "h2"),
+                               (4, "t4", "h")):
+            inputs = zs if stage == 1 else [
+                gen.let(f"{z} + {step} * {k}", loop, f"{name}_{stage}")
+                for z, k, name in zip(zs, ks[-1], names)]
+            lines, dk, u, u_f = _rhs_lines(
+                s, gen, t, inputs, [f"k{stage}_{i}" for i in range(len(zs))],
+                f"_{stage}")
+            loop += lines
+            ks.append(dk)
+            if stage == 1:
+                loop += [f"extend(({join(zs)}, {u}, {u_f}))",
+                         "if k == steps:", "    break", "t2 = tk + h2"]
+            elif stage == 3:
+                loop.append("t4 = tk + h")
+        loop += [f"{z} = {z} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+                 for z, a, b, c, d in zip(zs, *ks)]
         self.source = (
-            f"def full(t, z):\n    {join(names)} = z\n"
-            + "".join(f"    {line}\n" for line in body)
-            + f"    return [{join(dz)}], u, u_f\n\n"
             f"def integrate(z, steps, h, rec):\n    {join(zs)} = z\n"
             "    h2 = h / 2.0\n    h6 = h / 6.0\n    extend = rec.extend\n"
             "    for k in range(steps + 1):\n        tk = k * h\n        try:\n"
@@ -202,9 +218,33 @@ class _CompiledRhs:
             + "        except _DomainError as exc:\n            raise _DomainError("
             "f'{exc} (during step starting at t={tk})') from exc\n"
             f"        if not _isfinite({' + '.join(zs)}):\n"
-            f"            _diverged(tk, [{join(zs)}], [{join(k1 + k2 + k3 + dz)}])\n")
-        ns = gen.define(self.source, "rhs")
-        self.full, self.integrate = ns["full"], ns["integrate"]
+            f"            _diverged(tk, [{join(zs)}], [{join(sum(ks, []))}])\n")
+        self.integrate = gen.define(self.source, "rhs")["integrate"]
+
+    @cached_property
+    def full(self):
+        """full(t, z) -> (z', u, u_f)."""
+        gen = _codegen()
+        names = _state_names(self._scenario.core.n)
+        body, dz, u, u_f = _rhs_lines(self._scenario, gen, "t", names,
+                                      [f"d{name}" for name in names], "")
+        source = (f"def full(t, z):\n    {', '.join(names)} = z\n"
+                  + "".join(f"    {line}\n" for line in body)
+                  + f"    return [{', '.join(dz)}], {u}, {u_f}\n")
+        self.source += "\n" + source
+        return gen.define(source, "rhs")["full"]
+
+
+def _codegen() -> exprlang.Codegen:
+    gen = exprlang.Codegen()
+    gen.namespace.update(_InputGainTooSmall=InputGainTooSmall, _diverged=_diverged)
+    return gen
+
+
+def _state_names(n: int) -> list[str]:
+    """The names the generated code gives the elements of z."""
+    return ([f"{stem}{i}" for stem in ("x_d", "x_hat", "x_f", "M")
+             for i in range(n)] + ["N", "d_hat"])
 
 
 def _diverged(t: float, z: list[float], stages: list[float]) -> None:
@@ -219,92 +259,119 @@ def _diverged(t: float, z: list[float], stages: list[float]) -> None:
                               f"(during step starting at t={t})")
 
 
-def _rhs_lines(s: Scenario, gen: exprlang.Codegen
-               ) -> tuple[list[str], list[str], list[str]]:
-    """The generated right-hand side of s (see _CompiledRhs): the names its
-    body reads z from, the body, which ends with u and u_f assigned, and
-    the source of each element of z'."""
+def _rhs_lines(s: Scenario, gen: exprlang.Codegen, t: str, zs: list[str],
+               ks: list[str], tag: str) -> tuple[list[str], list[str], str, str]:
+    """The generated right-hand side of s (see _CompiledRhs) at time t and
+    the state held in the names zs: its lines, which assign z' to the names
+    ks, the source of each element of z' (a name of ks, or the constant or
+    name of an element it copies) and those of u and u_f. The names it
+    makes end in tag; what it computes and tests stays known to gen."""
     n = s.core.n
     c = gen.const
-    A, b = s.core.A, s.core.b
-    x_d, x_hat, x_f, M, x_t = ([f"{stem}{i}" for i in range(n)]
-                               for stem in ("x_d", "x_hat", "x_f", "M", "x_t"))
-    names = x_d + x_hat + x_f + M + ["N", "d_hat"]
+    # as Python floats: codegen compares and prints every coefficient
+    A, b, A_d, B_d, k_x, P = (m.tolist() for m in (
+        s.core.A, s.core.b, s.ref.A_d, s.ref.B_d, s.gains.k_x, s.adaptation.P))
+    x_d, x_hat, x_f, M = (zs[i * n:(i + 1) * n] for i in range(4))
+    N, d_hat = zs[4 * n:]
     lines: list[str] = []
 
-    def inline(expr: Expr, state: list[str], name: str, out=lines) -> None:
-        result = gen.expr(expr.node, "t", lambda k: state[k - 1], out)
-        out.append(f"{name} = {result}")
+    def let(name: str, src: str) -> str:
+        return gen.let(src, lines, name + tag)
 
-    def dot(seed: str, row, xs: list[str]) -> str:
-        """seed + row[0] * xs[0] + ..., summed left to right."""
-        return " + ".join([seed] + [f"{c(a)} * {x}" for a, x in zip(row, xs)])
+    def inline(expr: Expr, state: list[str], out=lines) -> str:
+        return gen.expr(expr.node, t, lambda k: state[k - 1], out)
 
-    def assign(names: list[str], values: list[str]) -> None:
-        lines.extend(f"{name} = {value}" for name, value in zip(names, values))
+    def dot(seed: list, row, xs: list[str]) -> str:
+        """The terms of seed, then row[0] * xs[0] + ..., summed left to
+        right; a term (a, x) is a * x, or x for a None. 1.0 * x is written
+        x, and a later (-1.0) * x is subtracted as x: both are exact."""
+        out = ""
+        for a, x in seed + list(zip(row, xs)):
+            if a is None or a == 1.0:
+                out += f" + {x}" if out else x
+            elif a == -1.0 and out:
+                out += f" - {x}"
+            else:
+                out += f" + {c(a)} * {x}" if out else f"{c(a)} * {x}"
+        return out
 
-    inline(s.r_signal, [], "r")
-    inline(s.nl.g, x_hat, "g_hat")
+    def derivatives(first: int, values: list[str]) -> list[str]:
+        return [gen.let(v, lines, k) for k, v in zip(ks[first:], values)]
+
+    def signal_sum(stem: str, kind) -> str:
+        """The sum of the signals of kind switched on at t: a name whose
+        lines are emitted once for each t (a signal's own lines run only
+        once it is switched on), or 0.0 if there is no such signal."""
+        events = [ev for ev in s.schedule.events if isinstance(ev, kind)]
+        key = (stem, t)
+        if events and key not in gen.values:
+            gen.values[key] = total = stem + tag
+            lines.append(f"{total} = 0.0")
+            for ev in events:
+                signal: list[str] = []
+                with gen.branch():
+                    sig = inline(ev.signal, [], signal)
+                lines.append(f"if {c(ev.at)} <= {t}:")
+                lines.extend(f"    {line}" for line in signal)
+                lines.append(f"    {total} += {sig}")
+        return gen.values.get(key, "0.0")
+
+    r = inline(s.r_signal, [])
+    g_hat = inline(s.nl.g, x_hat)
     g_min = c(s.nl.g_min)
-    lines += [f"if abs(g_hat) < {g_min}:",
-              f"    raise _InputGainTooSmall(f'|g|={{abs(g_hat):.3e}} below "
-              f"floor {{{g_min}:.3e}} at t={{t!r}}')"]
-    inline(s.nl.f, x_hat, "f_hat")
-    gains = s.gains
-    lines.append(f"u = ({dot(f'-f_hat + {c(gains.k_r)} * r', gains.k_x, x_hat)})"
-                 " / g_hat")
-    dx_d, dx_hat, dx_f = ([f"d{x}" for x in xs] for xs in (x_d, x_hat, x_f))
-    assign(dx_d, [dot(f"{c(s.ref.B_d[i])} * r", s.ref.A_d[i], x_d)
-                  for i in range(n)])
-    lines.append("c_nom = f_hat + g_hat * u")
-    assign(dx_hat, [dot(f"{c(b[i])} * c_nom", A[i], x_hat) for i in range(n)])
+    gen.check(f"abs({g_hat}) < {g_min}",
+              f"raise _InputGainTooSmall(f'|g|={{abs({g_hat}):.3e}} below "
+              f"floor {{{g_min}:.3e}} at t={{{t}!r}}')", lines)
+    f_hat = inline(s.nl.f, x_hat)
+    u = let("u", f"({dot([(None, f'-{f_hat}'), (s.gains.k_r, r)], k_x, x_hat)})"
+                 f" / {g_hat}")
+    dz = derivatives(0, [dot([(B_d[i], r)], A_d[i], x_d) for i in range(n)])
+    c_nom = let("c_nom", f"{f_hat} + {g_hat} * {u}")
+    dz += derivatives(n, [dot([(b[i], c_nom)], A[i], x_hat) for i in range(n)])
 
     zeros = ["0.0"] * (n + 2)
     if s.mode == MODE_NOMINAL_ONLY:
-        lines.append("u_f = u")
-        return names, lines, dx_d + dx_hat + dx_hat + zeros
+        return lines, dz + dz[n:] + zeros, u, u
 
     with_va = s.mode == MODE_FAULTY_WITH_VA
     if with_va:
-        assign(x_t, [f"{xf} - {xh}" for xf, xh in zip(x_f, x_hat)])
-        lines.append(" + ".join(["u_f = N * u - d_hat"]
-                                + [f"{m} * {x}" for m, x in zip(M, x_t)]))
+        x_t = [let(f"x_t{i}", f"{xf} - {xh}")
+               for i, (xf, xh) in enumerate(zip(x_f, x_hat))]
+        u_f = let("u_f", " + ".join([f"{N} * {u} - {d_hat}"]
+                                    + [f"{m} * {x}" for m, x in zip(M, x_t)]))
     else:
-        lines.append("u_f = u")
+        u_f = u
 
-    lines.append("theta = 1.0")
+    # the latest loss switched on wins, so the events are tested from the last
+    theta = "1.0"
     for ev in s.schedule.events:
         if isinstance(ev, LossOfEffectiveness):
-            lines.append(f"if not {c(ev.at)} > t: theta = {c(ev.theta)}")
-    for total, kind in (("d_f", AdditiveActuator), ("d", ExternalDisturbance)):
-        lines.append(f"{total} = 0.0")
-        for ev in s.schedule.events:
-            if isinstance(ev, kind):
-                signal: list[str] = []
-                inline(ev.signal, [], "sig", signal)
-                lines.append(f"if {c(ev.at)} <= t:")
-                lines += [f"    {line}" for line in signal]
-                lines.append(f"    {total} += sig")
-    inline(s.nl.f, x_f, "f_f")
-    inline(s.nl.g, x_f, "g_f")
-    lines.append("c_f = f_f + theta * g_f * (u_f + d_f)")
+            theta = f"{c(ev.theta)} if not {c(ev.at)} > {t} else {theta}"
+    if theta != "1.0":
+        theta = let("theta", theta)
+    d_f = signal_sum("d_f", AdditiveActuator)
+    d = signal_sum("d", ExternalDisturbance)
+    f_f = inline(s.nl.f, x_f)
+    g_f = inline(s.nl.g, x_f)
+    c_f = let("c_f", f"{f_f} + {theta} * {g_f} * ({u_f} + {d_f})")
     if s.channel.mode == "matched":
-        lines.append(f"md = {c(s.channel.scale)} * g_f * d")
-        channel = [f"{c(b[i])} * md" for i in range(n)]
+        md = let("md", f"{c(s.channel.scale)} * {g_f} * {d}")
+        channel = [(bi, md) for bi in b]
     else:
-        channel = [f"{c(e)} * d" for e in s.channel.E]
-    assign(dx_f, [dot(f"{c(b[i])} * c_f + {channel[i]}", A[i], x_f)
-                  for i in range(n)])
+        channel = [(e, d) for e in s.channel.E.tolist()]
+    dz += derivatives(2 * n, [dot([(b[i], c_f), channel[i]], A[i], x_f)
+                              for i in range(n)])
     if not with_va:
-        return names, lines, dx_d + dx_hat + dx_f + zeros
+        return lines, dz + zeros, u, u_f
 
     cfg = s.adaptation
-    P_x_t = [f"({dot('0.0', row, x_t)})" for row in cfg.P]
-    lines.append(f"sgn = ({dot('0.0', b, P_x_t)}) * g_f")
-    lines.append(f"g1s = -{c(cfg.gamma1)} * sgn")
-    dM = [f"g1s * {x}" for x in x_t]
-    laws = [f"-{c(cfg.gamma2)} * sgn * u", f"{c(cfg.gamma3)} * sgn"]
-    return names, lines, dx_d + dx_hat + dx_f + dM + laws
+    P_x_t = [f"({dot([(None, '0.0')], row, x_t)})" for row in P]
+    sgn = let("sgn", f"({dot([(None, '0.0')], b, P_x_t)}) * {g_f}")
+    g1s = let("g1s", f"-{c(cfg.gamma1)} * {sgn}")
+    dz += derivatives(3 * n, [f"{g1s} * {x}" for x in x_t]
+                      + [f"-{c(cfg.gamma2)} * {sgn} * {u}",
+                         f"{c(cfg.gamma3)} * {sgn}"])
+    return lines, dz, u, u_f
 
 
 def run(s: Scenario) -> SimTrace:
@@ -320,10 +387,16 @@ def run(s: Scenario) -> SimTrace:
     "<reason> (during step starting at t=<t>)", or NonFiniteDerivative
     "non-finite derivative near t=<t> (during step starting at t=<t>)" if a
     stage is not finite and "state diverged during step at t=<t>" if only
-    the new state is not.
+    the new state is not. A run whose row buffer would not fit in physical
+    memory raises TraceTooLarge before it starts.
     """
     n = s.core.n
     steps = s.n_steps
+    size = (steps + 1) * (4 * n + 4) * 8
+    memory = _physical_memory()
+    if size > memory:
+        raise TraceTooLarge(f"{steps + 1} trace rows need {size} bytes, more "
+                            f"than the {memory} bytes of physical memory")
     x_f0 = s.x_hat0 if s.mode == MODE_NOMINAL_ONLY else s.x_f0
     # M = 0, N = 1, d_hat = 0: the virtual actuator starts transparent
     z = (s.x_d0.tolist() + s.x_hat0.tolist() + x_f0.tolist()
@@ -344,6 +417,15 @@ def run(s: Scenario) -> SimTrace:
         e=x_hat - x_d, x_tilde=x_f - x_hat,
         y_d=x_d @ Ct, y_hat=x_hat @ Ct, y_f=x_f @ Ct,
     )
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return size if size > 0 else math.inf
 
 
 def metrics(tr: SimTrace, s: Scenario) -> Metrics:

@@ -15,23 +15,25 @@ fractional powers of a negative base, overflow to infinity, sin/cos/tan
 of a non-finite value) instead of silently returning non-finite numbers.
 
 Expressions are evaluated by generated code: Codegen writes a parsed tree
-out as straight-line Python (one assignment per node, with the domain
-checks inline) and compiles it once per Expr, and the engine inlines the
-same lines into its right-hand side. This is safe because the source is
+out as straight-line Python (one assignment per distinct value, with the
+domain checks inline) and compiles it once per Expr, and the engine inlines
+the same lines into its right-hand side. This is safe because the source is
 built from the tree, never from the scenario text: it holds only names
 made by Codegen and floats written with repr, and every callable it calls
-is bound by name from the table below.
+is bound by name in Codegen's namespace.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import linecache
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 MAX_DEPTH = 64
 
@@ -306,57 +308,36 @@ def parse(source: str, n_states: int) -> Expr:
 # Evaluation
 
 
-def _check_finite(v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError("result is not finite")
-    return v
-
-
 def _apply_pow(base: float, expo: float) -> float:
+    """base ^ expo for an exponent known only at run time; the generated
+    code inlines these checks when the exponent is a constant."""
     if base < 0.0 and not float(expo).is_integer():
         raise DomainError(f"negative base {base!r} with fractional exponent")
     if base == 0.0 and expo < 0.0:
         raise DomainError("zero base with negative exponent")
     try:
-        return _check_finite(math.pow(base, expo))
+        v = math.pow(base, expo)
     except OverflowError as exc:
         raise DomainError(f"pow overflow at {base!r}^{expo!r}") from exc
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
+    if not math.isfinite(v):
+        raise DomainError("result is not finite")
+    return v
 
 
-def _exp(a: float) -> float:
-    try:
-        return _check_finite(math.exp(a))
-    except OverflowError as exc:
-        raise DomainError(f"exp overflow at {a!r}") from exc
+def _overflow(name: str, *args: float) -> NoReturn:
+    """The DomainError for the OverflowError being handled, raised by
+    math.<name>(*args) in generated code: kept out of line, since a
+    handler that only calls costs less to compile than one that raises."""
+    raise DomainError(f"{name} overflow at {'^'.join(map(repr, args))}"
+                      ) from sys.exc_info()[1]
 
 
-def _log(a: float) -> float:
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a!r}")
-    return math.log(a)
-
-
-def _sqrt(a: float) -> float:
-    if a < 0.0:
-        raise DomainError(f"sqrt of negative value {a!r}")
-    return math.sqrt(a)
-
-
-def _sign(a: float) -> float:
-    return 0.0 if a == 0.0 else math.copysign(1.0, a)
-
-
-def _step(a: float) -> float:
-    return 0.0 if a < 0.0 else 1.0
-
-
-# The callable behind each function name.
+# The functions the generated code calls by name; Codegen writes the
+# others (exp, log, sqrt, sign, step, min, max) out inline.
 _FUNCTIONS: dict[str, Callable[..., float]] = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": _exp,
-    "log": _log, "sqrt": _sqrt, "abs": abs, "sign": _sign, "step": _step,
-    "min": min, "max": max,
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "abs": abs,
 }
 
 
@@ -386,18 +367,54 @@ def _compile(root: Node) -> Callable[[float, Sequence[float]], float]:
                       "expr")["expr"]
 
 
+def _constant(node: Node) -> float | None:
+    """The value of a literal, negated or not; None for any other node."""
+    if isinstance(node, Neg):
+        value = _constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, Literal) else None
+
+
+_NOT_FINITE = "raise _DomainError('result is not finite')"
+
+
+def _finite_test(v: str) -> str:
+    """The line Codegen emits to test that v is finite."""
+    return f"if not _isfinite({v}): {_NOT_FINITE}"
+
+
 class Codegen:
     """Straight-line Python source for expression trees, and its compiler.
 
     `expr` turns a tree into single-assignment lines plus the name (or
     constant) that holds the result, so a caller can inline several
     expressions into one generated function. The lines do exactly what a
-    walk of the tree would: operands are evaluated left to right, so the
-    first domain violation in source order is the one reported; + - *
-    check finiteness after each operation; / evaluates both operands, then
-    rejects a zero divisor, then checks finiteness; ^ goes through
-    _apply_pow and each call through its _FUNCTIONS callable, after
-    sin, cos and tan have rejected a non-finite argument.
+    walk of the tree would, in IEEE arithmetic and exception for
+    exception: operands are evaluated left to right, so the first domain
+    violation in source order is the one reported; + - * check finiteness
+    after each operation; / evaluates both operands, then rejects a zero
+    divisor, then checks finiteness; sin, cos and tan reject a non-finite
+    argument before their call. A finiteness test directly followed by a
+    + - * of the value it tests is left to that result's test: a
+    non-finite operand makes the result non-finite, and nothing observable
+    happens in between, so the same error is raised at the same point.
+
+    The helpers a walk would call are written out inline, with the same
+    checks and messages in the same order: exp and ^ with a constant
+    exponent (whether it is an integer and its sign are settled here) turn
+    an OverflowError into DomainError "... overflow at ...", log and sqrt
+    reject their domain first, and sign, step, min and max become
+    conditional expressions. Only ^ with a computed exponent calls a
+    helper, _apply_pow. A negated literal is a constant.
+
+    The lines are value-numbered: `let` keys every computed value on the
+    text that computes it, and `check` every test on its condition; both
+    are emitted once and reused after. That is exact because every name
+    the lines read is assigned once per run of the lines (single
+    assignment): the same text over the same names is the same value, and
+    a test that passed once passes again. Nothing is moved, folded away
+    or reordered. A caller whose lines run only conditionally wraps them
+    in `branch`, and each generated function takes its own Codegen.
 
     Only names made here and finite constants written with repr (which
     round-trips a float exactly) enter the source. Non-finite constants
@@ -411,11 +428,17 @@ class Codegen:
     def __init__(self):
         self.namespace: dict[str, object] = {
             "_isfinite": math.isfinite, "_DomainError": DomainError,
-            "_apply_pow": _apply_pow,
+            "_apply_pow": _apply_pow, "_overflow": _overflow,
+            "_copysign": math.copysign,
+            "_math_exp": math.exp, "_math_log": math.log,
+            "_math_pow": math.pow, "_math_sqrt": math.sqrt,
         }
         self.namespace.update(
             (f"_{name}", fn) for name, fn in _FUNCTIONS.items())
         self._count = 0
+        # source text (or a caller's key) -> the name that holds its value
+        self.values: dict[object, str] = {}
+        self._checked: set[str] = set()
 
     def fresh(self, stem: str = "v") -> str:
         self._count += 1
@@ -431,6 +454,84 @@ class Codegen:
         text = repr(value)
         return f"({text})" if text.startswith("-") else text
 
+    def let(self, src: str, lines: list[str], name: str | None = None) -> str:
+        """The name that holds the value of src: the one an earlier line
+        assigned it to, or name (a fresh one by default) on a new line."""
+        held = self.values.get(src)
+        if held is None:
+            held = self.values[src] = name or self.fresh()
+            lines.append(f"{held} = {src}")
+        return held
+
+    def check(self, cond: str, action: str, lines: list[str]) -> None:
+        """`if cond: action`, unless the same test was made before."""
+        if cond not in self._checked:
+            self._checked.add(cond)
+            lines.append(f"if {cond}: {action}")
+
+    @contextlib.contextmanager
+    def branch(self):
+        """Scope for lines that run only conditionally: what they compute
+        and test is not reused after it."""
+        saved = dict(self.values), set(self._checked)
+        try:
+            yield
+        finally:
+            self.values, self._checked = saved
+
+    def _finite(self, v: str, lines: list[str]) -> str:
+        self.check(f"not _isfinite({v})", _NOT_FINITE, lines)
+        return v
+
+    def _guarded(self, name: str, args: list[str], lines: list[str]) -> str:
+        """let for math.<name>(*args), whose OverflowError _overflow turns
+        into a DomainError."""
+        call = f"_math_{name}({', '.join(args)})"
+        held = self.values.get(call)
+        if held is None:
+            held = self.values[call] = self.fresh()
+            lines += [f"try: {held} = {call}", "except OverflowError: "
+                      f"_overflow({name!r}, {', '.join(args)})"]
+        return held
+
+    def _pow(self, a: str, expo: float, lines: list[str]) -> str:
+        """_apply_pow(a, expo) for a constant expo, written out."""
+        e = self.const(expo)
+        if not float(expo).is_integer():
+            self.check(f"{a} < 0.0", "raise _DomainError("
+                       f"f'negative base {{{a}!r}} with fractional exponent')",
+                       lines)
+        if expo < 0.0:
+            self.check(f"{a} == 0.0", "raise _DomainError("
+                       "'zero base with negative exponent')", lines)
+        # with those tests passed, math.pow raises no ValueError
+        return self._finite(self._guarded("pow", [a, e], lines), lines)
+
+    def _call(self, name: str, args: list[str], lines: list[str]) -> str:
+        a = args[0]
+        if name in ("sin", "cos", "tan"):
+            self.check(f"not _isfinite({a})", "raise _DomainError("
+                       f"f'{name} of non-finite value {{{a}!r}}')", lines)
+            return self.let(f"_{name}({a})", lines)
+        if name == "exp":
+            return self._finite(self._guarded("exp", [a], lines), lines)
+        if name in ("log", "sqrt"):
+            test, what = (("<=", "non-positive") if name == "log"
+                          else ("<", "negative"))
+            self.check(f"{a} {test} 0.0", "raise _DomainError("
+                       f"f'{name} of {what} value {{{a}!r}}')", lines)
+            return self.let(f"_math_{name}({a})", lines)
+        if name == "sign":
+            return self.let(f"0.0 if {a} == 0.0 else _copysign(1.0, {a})", lines)
+        if name == "step":
+            return self.let(f"0.0 if {a} < 0.0 else 1.0", lines)
+        if name in ("min", "max"):
+            # min(a, b) keeps a unless b < a, max unless b > a
+            b = args[1]
+            return self.let(f"{b} if {b} {'<' if name == 'min' else '>'} {a} "
+                            f"else {a}", lines)
+        return self.let(f"_{name}({a})", lines)
+
     def expr(self, node: Node, t: str, state: Callable[[int], str],
              lines: list[str]) -> str:
         """Append the lines that evaluate node; return its result's source.
@@ -439,47 +540,39 @@ class Codegen:
         state source that is not a plain name (say ``float(x[0])``) gets
         its own line, so it is read in tree order.
         """
+        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
+            a = self.expr(node.left, t, state, lines)
+            b = self.expr(node.right, t, state, lines)
+            if node.op == "^":
+                expo = _constant(node.right)
+                if expo is not None:
+                    return self._pow(a, expo, lines)
+                return self.let(f"_apply_pow({a}, {b})", lines)
+            if node.op == "/":
+                self.check(f"{b} == 0.0",
+                           "raise _DomainError('division by zero')", lines)
+            elif lines and lines[-1] in (_finite_test(a), _finite_test(b)):
+                # + - * of a non-finite operand is not finite, so the
+                # result's test, next, raises the same error in its place
+                lines.pop()
+            return self._finite(self.let(f"{a} {node.op} {b}", lines), lines)
+        if isinstance(node, StateVar):
+            src = state(node.index)
+            return src if src.isidentifier() else self.let(src, lines)
         if isinstance(node, Literal):
             return self.const(node.value)
         if isinstance(node, TimeVar):
             return t
-        if isinstance(node, StateVar):
-            src = state(node.index)
-            if src.isidentifier():
-                return src
-            v = self.fresh()
-            lines.append(f"{v} = {src}")
-            return v
         if isinstance(node, Neg):
-            a = self.expr(node.operand, t, state, lines)
-            v = self.fresh()
-            lines.append(f"{v} = -{a}")
-            return v
-        if isinstance(node, Call):
-            if node.name not in _FUNCTIONS:
-                raise AssertionError(f"unknown function {node.name!r}")
-            args = ", ".join(self.expr(a, t, state, lines) for a in node.args)
-            if node.name in ("sin", "cos", "tan"):
-                lines.append(f"if not _isfinite({args}): raise _DomainError("
-                             f"f'{node.name} of non-finite value {{{args}!r}}')")
-            v = self.fresh()
-            lines.append(f"{v} = _{node.name}({args})")
-            return v
-        if not isinstance(node, BinOp) or node.op not in ("+", "-", "*", "/", "^"):
-            raise AssertionError(f"unhandled node {node!r}")
-        a = self.expr(node.left, t, state, lines)
-        b = self.expr(node.right, t, state, lines)
-        v = self.fresh()
-        if node.op == "^":
-            lines.append(f"{v} = _apply_pow({a}, {b})")
-            return v
-        if node.op == "/":
-            lines.append(f"if {b} == 0.0: "
-                         "raise _DomainError('division by zero')")
-        lines.append(f"{v} = {a} {node.op} {b}")
-        lines.append(f"if not _isfinite({v}): "
-                     "raise _DomainError('result is not finite')")
-        return v
+            value = _constant(node)
+            if value is not None:
+                return self.const(value)
+            return self.let(f"-{self.expr(node.operand, t, state, lines)}",
+                            lines)
+        if isinstance(node, Call) and node.name in _FUNCTION_ARITY:
+            args = [self.expr(a, t, state, lines) for a in node.args]
+            return self._call(node.name, args, lines)
+        raise AssertionError(f"unhandled node {node!r}")
 
     def define(self, source: str, what: str) -> dict[str, object]:
         """Compile and run source in the namespace and return the namespace.

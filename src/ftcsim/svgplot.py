@@ -11,7 +11,6 @@ so the files render anywhere and diff cleanly.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 960, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 50  # margins
 _MAX_POINTS = 2000
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < written as XML entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_step(span: float) -> float:
@@ -79,14 +83,15 @@ def write_chart(path, t: np.ndarray, series: list[tuple[str, np.ndarray]],
     n = len(t)
     stride = 1 if n <= _MAX_POINTS else (n - 1) // (_MAX_POINTS - 1) + 1
     idx = np.append(np.arange(0, n - 1, stride), n - 1)
-    xs = [f"{x:.2f}" for x in px(t[idx]).tolist()]
+    # one "x,%.2f" per point: each series fills in its y values in one call
+    points = " ".join(f"{x:.2f},%.2f" for x in px(t[idx]).tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
     ]
 
     # axes frame and ticks
@@ -115,20 +120,19 @@ def write_chart(path, t: np.ndarray, series: list[tuple[str, np.ndarray]],
         parts.append(f'<text x="18" y="{_MT + ih / 2:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 18 {_MT + ih / 2:.1f})">'
-                     f'{escape(y_label)}</text>')
+                     f'{_escape(y_label)}</text>')
 
     for i, (label, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{x},{y:.2f}"
-                          for x, y in zip(xs, py(ys[idx]).tolist()))
-        parts.append(f'<polyline points="{points}" fill="none" '
+        drawn = points % tuple(py(ys[idx]).tolist())
+        parts.append(f'<polyline points="{drawn}" fill="none" '
                      f'stroke="{color}" stroke-width="1.3"/>')
         ly = _MT + 16 + 16 * i
         lx = _ML + iw - 160
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{escape(label)}</text>')
+                     f'font-size="12">{_escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

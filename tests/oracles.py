@@ -1,9 +1,10 @@
 """Independent references: for the generated evaluation code, a
-tree-walking expression evaluator, the closed-loop right-hand side written
-as plain loops over it, and the RK4 integration loop over that (the
-generated code must agree with all three bit for bit); for the
-numpy.linalg tests, rank and positive definiteness in exact rational
-arithmetic."""
+tree-walking expression evaluator with each function a plain Python
+function (the generated code writes exp, log, sqrt, sign, step, min and
+max out inline), the closed-loop right-hand side written as plain loops
+over it, and the RK4 integration loop over that (the generated code must
+agree with all three bit for bit); for the numpy.linalg tests, rank and
+positive definiteness in exact rational arithmetic."""
 
 import math
 from fractions import Fraction
@@ -15,6 +16,45 @@ from ftcsim.controller import InputGainTooSmall
 from ftcsim.exprlang import BinOp, Call, DomainError, Literal, Neg, StateVar, TimeVar
 from ftcsim.faults import AdditiveActuator, ExternalDisturbance, LossOfEffectiveness
 from ftcsim.numerics import NonFiniteDerivative
+
+
+def _exp(a):
+    try:
+        v = math.exp(a)
+    except OverflowError as exc:
+        raise DomainError(f"exp overflow at {a!r}") from exc
+    if not math.isfinite(v):
+        raise DomainError("result is not finite")
+    return v
+
+
+def _log(a):
+    if a <= 0.0:
+        raise DomainError(f"log of non-positive value {a!r}")
+    return math.log(a)
+
+
+def _sqrt(a):
+    if a < 0.0:
+        raise DomainError(f"sqrt of negative value {a!r}")
+    return math.sqrt(a)
+
+
+def _sign(a):
+    return 0.0 if a == 0.0 else math.copysign(1.0, a)
+
+
+def _step(a):
+    return 0.0 if a < 0.0 else 1.0
+
+
+# the callable behind each function name, as walk applies it; ^ goes
+# through exprlang._apply_pow
+FUNCTIONS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": _exp,
+    "log": _log, "sqrt": _sqrt, "abs": abs, "sign": _sign, "step": _step,
+    "min": min, "max": max,
+}
 
 
 def walk(node, t, x):
@@ -32,7 +72,7 @@ def walk(node, t, x):
         args = [walk(a, t, x) for a in node.args]
         if node.name in ("sin", "cos", "tan") and not math.isfinite(args[0]):
             raise DomainError(f"{node.name} of non-finite value {args[0]!r}")
-        return exprlang._FUNCTIONS[node.name](*args)
+        return FUNCTIONS[node.name](*args)
     assert isinstance(node, BinOp), node
     a = walk(node.left, t, x)
     b = walk(node.right, t, x)

@@ -67,6 +67,24 @@ class TestRun:
         p.write_text(text)
         assert cli.main(["run", str(p), "-o", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
 
+    def test_oversized_run_does_not_stop_batch(self, short_scenario,
+                                               tmp_path, capsys):
+        # 1e12 steps: the row buffer would take 1.28e14 bytes, so the run
+        # is refused before it starts instead of growing until killed
+        text = default_scenario_text().replace("t_end = 40", "t_end = 1e9")
+        huge = tmp_path / "huge.scn"
+        huge.write_text(text)
+        out = tmp_path / "batch"
+        code = cli.main(["run", str(huge), str(short_scenario), "-o", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert (f"{huge}: numerical abort: 1000000000001 trace rows need "
+                "128000000000128 bytes, more than the ") in err
+        assert not (out / "huge").exists()
+        for name in ("trace.csv", "metrics.txt", "output.svg", "states.svg",
+                     "xtilde.svg", "adaptation.svg"):
+            assert (out / "short" / name).exists()
+
     def test_failing_scenario_does_not_stop_batch(self, short_scenario,
                                                   tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -8,6 +8,7 @@ import dataclasses
 import linecache
 import math
 import random
+import re
 import struct
 import traceback
 
@@ -75,7 +76,7 @@ class TestExpressionsAgainstWalker:
                      for _ in range(3)]
                 assert outcome(f, t, x) == outcome(walk, node, t, x), node
         kinds = {"literal", "inf", "time", "state", "neg"}
-        kinds |= {f"op{op}" for op in "+-*/^"} | set(exprlang._FUNCTIONS)
+        kinds |= {f"op{op}" for op in "+-*/^"} | set(exprlang._FUNCTION_ARITY)
         assert kinds <= seen
 
     def test_non_finite_literal_bound_by_name(self):
@@ -113,7 +114,7 @@ def random_tree(rng, depth, seen):
         seen.add(f"op{op}")
         return BinOp(op, random_tree(rng, depth - 1, seen),
                      random_tree(rng, depth - 1, seen))
-    name = rng.choice(sorted(exprlang._FUNCTIONS))
+    name = rng.choice(sorted(exprlang._FUNCTION_ARITY))
     seen.add(name)
     arity = exprlang._FUNCTION_ARITY[name]
     return Call(name, tuple(random_tree(rng, depth - 1, seen)
@@ -290,6 +291,137 @@ class TestLoopAborts:
         assert not math.isfinite(float(tr.x_d[-1, 0]) + float(tr.x_hat[-1, 0]))
 
 
+# I is 1 while x1 lies in [a, b) and 0 elsewhere; each helper fails on I = 1
+WINDOW = "(step(x1 - {a}) - step(x1 - {b}))"
+HELPER_ERRORS = {
+    "exp(1000*I)": "exp overflow at 1000.0",
+    "log(1 - I)": "log of non-positive value 0.0",
+    "sqrt(-I)": "sqrt of negative value -1.0",
+    "(-I)^0.5": "negative base -1.0 with fractional exponent",
+    "(1 - I)^-1": "zero base with negative exponent",
+    "(1e200*I + 2)^2": "pow overflow at 1e+200^2.0",
+}
+# From x = 1 the scalar decay's stages with h = 0.5 read x1 = 1, 0.75,
+# 0.8125 and 0.59375; each window holds one stage's x1 and none before it
+STAGE_WINDOWS = {2: (0.7, 0.8), 3: (0.78, 0.85), 4: (0.55, 0.65)}
+
+
+def failing_stage(s):
+    """The RK4 stage (1 to 4) in which oracles.loop_run raises on s."""
+    rhs, calls = LoopRhs(s), []
+    full = rhs.full
+    rhs.full = lambda t, z: (calls.append(t), full(t, z))[1]
+    with pytest.raises(Exception):
+        loop_run(s, rhs)
+    # a step makes one recording call and three stage calls
+    return (len(calls) - 1) % 4 + 1
+
+
+class TestLoopHelperErrors:
+    @pytest.mark.parametrize("stage", sorted(STAGE_WINDOWS))
+    @pytest.mark.parametrize("src", list(HELPER_ERRORS))
+    def test_raised_mid_step(self, src, stage):
+        # f cancels out of x_hat' = -x_hat, so the stages move as without it
+        a, b = STAGE_WINDOWS[stage]
+        s = scalar(f="0.5*" + src.replace("I", WINDOW.format(a=a, b=b)),
+                   t_end=2.0, h=0.5)
+        assert failing_stage(s) == stage
+        assert assert_loop_matches_oracle(s) == (
+            "raise", DomainError,
+            f"{HELPER_ERRORS[src]} (during step starting at t=0.0)")
+
+
+POWERS = ["x1^2", "x1^3", "x1^0", "x1^1.5", "x1^0.5", "x1^-1", "x1^-2",
+          "x1^-0.5", "(-x1)^2", "x1^1e999", "x1^t", "x1^(t - 1)", "x1^x2",
+          "2^x1", "(x1 - x2)^(x3 - 1)", "x2^x3^2"]
+POWER_POINTS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, 1e200,
+                -1e200, 1e-200, math.inf, -math.inf]
+
+
+class TestPowerExponents:
+    @pytest.mark.parametrize("src", POWERS)
+    def test_against_walker(self, src):
+        e = parse(src, 3)
+        f = compile_expr(e)
+        for i, x1 in enumerate(POWER_POINTS):
+            for x2 in (0.0, -3.0, 2.5):
+                t = [0.0, 1.0, 2.5, -1.5][i % 4]
+                x = [x1, x2, POWER_POINTS[-1 - i]]
+                assert outcome(f, t, x) == outcome(walk, e.node, t, x), x
+
+    def test_in_loop(self):
+        # constant integer, fractional and negative exponents, and exponents
+        # of t and of the state, on x1 decaying from 1 over t in [0, 5]
+        s = scalar(f="x1^2 - x1^3 + abs(x1)^1.5 + (x1 + 2)^-1 + x1^-0.5"
+                     " + x1^(t/4) + 2^(-x1) + abs(x1)^x1", t_end=5.0, h=0.05)
+        assert assert_loop_matches_oracle(s)[0] == "ok"
+
+
+def wide_scenario():
+    """An n = 5 scenario with the nonlinearity of the benchmark's wide_nl
+    workload: every inlined helper, and constant exponents only."""
+    s = oracle_scenario(5, "faulty_with_va", "constant", seed=5)
+    nl = NonlinearPair(
+        f=parse("0.08*sin(x1)/(1+x2^2) + 0.08*(sqrt(1+x3^2)-1) "
+                "- 0.17*log(1+x4^2) + 0.05*min(max(x5,-1),1) "
+                "+ 0.15*sign(x1)*abs(x2)^1.5*exp(-x3^2)", 5),
+        g=parse("3 + 0.7*exp(-x1^2) + 0.3*step(x2)", 5))
+    return dataclasses.replace(s, nl=nl)
+
+
+HELPER_CALL = re.compile(r"\b_(step|sign|sqrt|log|exp)\(")
+POW_CALL = re.compile(r"\b_apply_pow\(([^,()]+), ([^()]+|\([^()]*\))\)")
+
+
+class TestInlinedHelpers:
+    @pytest.mark.parametrize("which", ["stock", "wide"])
+    def test_loop_calls_no_helper(self, which, stock):
+        s = stock if which == "stock" else wide_scenario()
+        source = engine._CompiledRhs(s).source
+        assert not HELPER_CALL.search(source)
+        assert "_apply_pow(" not in source
+        assert "_math_pow(" in source or which == "stock"
+
+    def test_computed_exponent_calls_apply_pow(self, stock):
+        nl = NonlinearPair(f=parse("x1^x2 + x3^t + x1^-2", 3), g=stock.nl.g)
+        source = rhs_for(stock, nl=nl).source
+        exponents = {m.group(2) for m in POW_CALL.finditer(source)}
+        assert exponents and all(e.isidentifier() and not e.startswith("_c")
+                                 for e in exponents)
+        assert source.count("_apply_pow(") == len(POW_CALL.findall(source))
+
+    def test_wide_loop_matches_oracle(self):
+        s = dataclasses.replace(wide_scenario(), t_end=3.0, h=0.01)
+        assert assert_loop_matches_oracle(s)[0] == "ok"
+
+
+class TestValueNumbering:
+    def test_stage_three_reuses_values_of_t(self, stock):
+        # r = step(t) and g = 0.5*sin(t) + 4 depend on t alone, and stage 3
+        # runs at stage 2's t = tk + h/2: neither it nor the |g| test repeats
+        source = engine._CompiledRhs(stock).source
+        assert source.count("_sin(t2)") == 1
+        assert source.count("raise _InputGainTooSmall") == 3
+
+    @pytest.mark.parametrize("src", ["x1*x1 + t", "(x1*t - 1)*3",
+                                     "x1^2 + 1", "2*exp(x1) - t"])
+    def test_chain_tested_once(self, src):
+        # a non-finite operand of + - * makes the result non-finite, so a
+        # chain needs only its last finiteness test
+        e = parse(src, 1)
+        f = compile_expr(e)
+        for t, x1 in [(1.0, 1e200), (1.0, math.inf), (math.nan, 1.0),
+                      (-1e308, 2.0), (0.0, -0.0), (2.0, 1.0), (math.inf, 0.0)]:
+            assert outcome(f, t, [x1]) == outcome(walk, e.node, t, [x1]), (t, x1)
+        source = "".join(linecache.getlines(f.__code__.co_filename))
+        assert source.count("'result is not finite'") == 1
+
+    def test_repeated_subtree_computed_once(self):
+        # f reads x3^2 twice; in stage 1, x3 of x_hat is z7
+        source = engine._CompiledRhs(wide_scenario()).source
+        assert source.count("_math_pow(z7, 2.0)") == 1
+
+
 class TestGeneratedSource:
     def test_traceback_shows_generated_line(self, stock):
         nl = NonlinearPair(f=parse("log(x1)", 3), g=stock.nl.g)
@@ -300,7 +432,8 @@ class TestGeneratedSource:
         frames = [fr for fr in traceback.extract_tb(exc_info.value.__traceback__)
                   if fr.filename == filename]
         assert len(frames) == 1
-        assert frames[0].line.endswith(" = _log(x_hat0)")
+        assert frames[0].line == ("if x_hat0 <= 0.0: raise _DomainError("
+                                  "f'log of non-positive value {x_hat0!r}')")
         assert linecache.getline(filename, frames[0].lineno).strip() == frames[0].line
         assert frames[0].line in rhs.source
 
@@ -315,7 +448,9 @@ class TestGeneratedSource:
         assert outer.name == "integrate" and len(inner) == 1
         assert inner[0].name == "integrate"
         assert outer.line.startswith("raise _DomainError(")
-        assert inner[0].line.endswith(" = _log(v1)")
+        assert re.fullmatch(r"if (v\d+) <= 0\.0: raise _DomainError\("
+                            r"f'log of non-positive value \{\1!r\}'\)",
+                            inner[0].line)
         for fr in (outer, inner[0]):
             assert linecache.getline(fr.filename, fr.lineno).strip() == fr.line
 

@@ -7,13 +7,15 @@ imports of every module with `ast` instead.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "ftcsim").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "ftcsim").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ftcsim"}
 
 
@@ -37,3 +39,16 @@ def test_imports_stdlib_numpy_or_package(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     foreign = sorted(set(imported_modules(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # numpy itself loads urllib.parse, so count only what ftcsim adds
+    code = ("import sys, numpy; before = set(sys.modules); import ftcsim.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    added = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                           capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert "ftcsim.cli" in added
+    heavy = {"xml", "urllib", "http", "email", "ssl"}
+    assert [m for m in added if m.split(".")[0] in heavy] == []

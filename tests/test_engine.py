@@ -113,8 +113,29 @@ class TestAgainstNumpyLoop:
 
     def test_four_rhs_calls_per_step(self, stock, monkeypatch):
         # one recording evaluation per row plus three more stages per step:
-        # RK4 reuses the recorded derivative as its first stage. With f and
-        # g free of sin and r = sin(t), each evaluation calls sin once.
+        # RK4 reuses the recorded derivative as its first stage. With g and
+        # r free of sin and f = 0.05 sin(x3), which nominal_only evaluates
+        # at x_hat alone, each evaluation calls sin once. (A sin of t alone
+        # would not count them: the stages at tk + h/2 share it.)
+        calls = 0
+
+        def counting_sin(a):
+            nonlocal calls
+            calls += 1
+            return math.sin(a)
+
+        monkeypatch.setitem(exprlang._FUNCTIONS, "sin", counting_sin)
+        nl = NonlinearPair(f=parse("0.05*sin(x3)", 3), g=parse("4 + 0.5*t", 3))
+        s = dataclasses.replace(stock, nl=nl, r_signal=parse("step(t)", 0),
+                                mode="nominal_only", t_end=0.25)
+        F.run(s)
+        assert calls == 4 * s.n_steps + 1
+
+
+    def test_stages_two_and_three_share_values_of_t(self, stock, monkeypatch):
+        # r = sin(t) depends on t alone, and stages 2 and 3 of a step run
+        # at the same t = tk + h/2, so sin runs three times per step, plus
+        # once for the last row
         calls = 0
 
         def counting_sin(a):
@@ -127,7 +148,7 @@ class TestAgainstNumpyLoop:
         s = dataclasses.replace(stock, nl=nl, r_signal=parse("sin(t)", 0),
                                 t_end=0.25)
         F.run(s)
-        assert calls == 4 * s.n_steps + 1
+        assert calls == 3 * s.n_steps + 1
 
 
 class TestDifferenceSystemConsistency:

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ftcsim import cli
+from ftcsim import cli, svgplot
 from ftcsim.engine import Metrics, SimTrace
 
 CHARTS = ("output.svg", "states.svg", "xtilde.svg", "adaptation.svg")
@@ -84,3 +84,12 @@ def test_synthetic_trace(case, stock, tmp_path):
     cli._write_run_outputs(synthetic_trace(t, column), stock, m, tmp_path)
     charts = b"".join((tmp_path / name).read_bytes() for name in CHARTS)
     assert sha256(charts) == expected
+
+
+def test_text_escaped_as_xml(tmp_path):
+    from xml.sax.saxutils import escape
+    label = "a<b & c>d &amp; <"
+    t = np.array([0.0, 1.0])
+    svgplot.write_chart(tmp_path / "c.svg", t, [(label, t)], label, label)
+    body = (tmp_path / "c.svg").read_text()
+    assert body.count(escape(label)) == 3 and label not in body
